@@ -1,10 +1,10 @@
-//! Dynamic-workload bench: incremental `DynamicEngine` batches versus
+//! Dynamic-workload bench: incremental [`Engine::apply`] batches versus
 //! rebuild-from-scratch, at several update rates.
 //!
 //! Each iteration applies one batch of a pre-generated NYT-like
 //! arrival/expiry trace (50% expiries, so the live set stays near its
-//! initial size). The *incremental* arm drives a persistent
-//! [`DynamicEngine`]; the *rebuild* arm applies the same batch to a plain
+//! initial size). The *incremental* arm drives a persistent, warmed
+//! [`Engine`]; the *rebuild* arm applies the same batch to a plain
 //! trajectory store and then rebuilds the TQ-tree and the full
 //! [`ServedTable`] — what a static pipeline must do to stay correct.
 //!
@@ -14,7 +14,8 @@
 //! rate; in practice nearly all of them are skipped).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tq_core::dynamic::{DynamicConfig, DynamicEngine, Update, UpdateStats};
+use tq_core::dynamic::{Update, UpdateStats};
+use tq_core::engine::Engine;
 use tq_core::maxcov::ServedTable;
 use tq_core::service::{Scenario, ServiceModel};
 use tq_core::tqtree::{Placement, TqTree, TqTreeConfig};
@@ -78,10 +79,6 @@ impl RebuildState {
 fn bench_incremental_vs_rebuild(c: &mut Criterion) {
     let model = ServiceModel::new(Scenario::Transit, presets::DEFAULT_PSI);
     let facilities: FacilitySet = presets::ny_bus(ROUTES, STOPS);
-    let config = DynamicConfig {
-        tree: tree_config(),
-        ..DynamicConfig::default()
-    };
 
     let mut group = c.benchmark_group("dynamic_incremental_vs_rebuild");
     group.sample_size(9);
@@ -93,13 +90,15 @@ fn bench_incremental_vs_rebuild(c: &mut Criterion) {
 
         // Incremental: one persistent engine, one batch per iteration.
         let mk_engine = || {
-            DynamicEngine::new(
-                trace.initial.clone(),
-                facilities.clone(),
-                model,
-                config,
-                trace.bounds,
-            )
+            let mut engine = Engine::builder(model)
+                .users(trace.initial.clone())
+                .facilities(facilities.clone())
+                .tree_config(tree_config())
+                .bounds(trace.bounds)
+                .build()
+                .expect("the trace starts inside its bounds");
+            engine.warm();
+            engine
         };
         let mut engine = mk_engine();
         let mut accumulated = UpdateStats::default();

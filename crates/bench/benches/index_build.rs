@@ -1,7 +1,7 @@
 //! Criterion bench behind the index-construction table (paper §VI-B.4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tq_baseline::BaselineIndex;
+use tq_core::baseline::BaselineIndex;
 use tq_bench::data;
 use tq_core::tqtree::{Placement, TqTree, TqTreeConfig};
 

@@ -29,7 +29,7 @@
 use std::time::{Duration, Instant};
 use tq_core::dynamic::Update;
 use tq_core::engine::{Engine, Query, QueryResult};
-use tq_core::serve::{serve, serve_sharded, ServeConfig, Workload};
+use tq_core::serve::{serve, ServeConfig, Workload};
 use tq_core::service::{Scenario, ServiceModel};
 use tq_core::sharding::ShardedEngine;
 use tq_core::tqtree::{Placement, TqTreeConfig};
@@ -278,7 +278,7 @@ fn main() {
     let mut ranked_at: Vec<Vec<(u32, u64)>> = Vec::new();
     for (slot, shards) in [1usize, 4].into_iter().enumerate() {
         let mut engine = build_sharded_engine(shards);
-        let report = serve_sharded(&mut engine, &workload, &sharded_config).expect("serve runs");
+        let report = serve(&mut engine, &workload, &sharded_config).expect("serve runs");
         assert_eq!(report.epoch_regressions(), 0);
         qps_at[slot] = report.qps;
         let answer = engine.run(subset_queries()[0].clone()).expect("subset query runs");

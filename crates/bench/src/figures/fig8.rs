@@ -9,7 +9,7 @@
 use crate::data::{self, defaults};
 use crate::report::{Series, Unit};
 use crate::{timed, Scale};
-use tq_baseline::BaselineIndex;
+use tq_core::baseline::BaselineIndex;
 use tq_core::service::{Scenario, ServiceModel};
 use tq_core::tqtree::{Placement, TqTree, TqTreeConfig};
 use tq_datagen::presets;

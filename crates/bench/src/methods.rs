@@ -6,7 +6,7 @@
 //! These helpers build the three indexes consistently and expose
 //! one-call-per-method entry points so every figure module reads the same.
 
-use tq_baseline::BaselineIndex;
+use tq_core::baseline::BaselineIndex;
 use tq_core::maxcov::{genetic, greedy, CovOutcome, GeneticConfig, ServedTable};
 use tq_core::service::ServiceModel;
 use tq_core::tqtree::{Placement, Storage, TqTree, TqTreeConfig};

@@ -48,7 +48,7 @@ use args::{Command, Flag};
 use std::path::Path;
 use std::time::{Duration, Instant};
 use tq_core::engine::Engine;
-use tq_core::writer::{ControlPlane, ReadPlane};
+use tq_core::writer::ControlPlane;
 use tq_core::StoreConfig;
 use tq_net::{
     bootstrap_follower, ingest, open_feed, ConnectConfig, IngestEnd, Server, ServerConfig,
@@ -217,7 +217,7 @@ fn serve_follower(
                 return;
             }
             std::thread::sleep(Duration::from_millis(200));
-            match open_feed(&primary, reader.latest_epoch(), &redial) {
+            match open_feed(&primary, reader.epoch(), &redial) {
                 Ok(s) => {
                     stream = s;
                     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));

@@ -31,7 +31,7 @@ mod args;
 use args::{global_usage, Args, Command, Flag};
 use tq_core::engine::{Algorithm, Engine, EngineBuilder, Query};
 
-use tq_core::serve::{serve, serve_sharded, ServeConfig, Workload};
+use tq_core::serve::{serve, ServeConfig, Workload};
 use tq_core::service::{Scenario, ServiceModel};
 use tq_core::tqtree::{Placement, TqTree, TqTreeConfig};
 use tq_core::StoreConfig;
@@ -1013,7 +1013,7 @@ fn cmd_serve(raw: Vec<String>) -> CliResult {
             t.elapsed().as_secs_f64(),
             engine.epoch()
         );
-        let report = serve_sharded(&mut engine, &workload, &config)?;
+        let report = serve(&mut engine, &workload, &config)?;
         (report, engine.live_users(), engine.persistence())
     } else {
         let mut engine = builder.build()?;

@@ -1,15 +1,15 @@
-//! Dynamic-workload types and the historical [`DynamicEngine`] wrapper.
+//! Dynamic-workload types: the update vocabulary [`Engine::apply`] speaks.
 //!
 //! The paper presents the TQ-tree as an updatable index (§III-C discusses
 //! insertion alongside the bulk `constructTQtree`), but its experiments are
 //! static: build once, query once. Real trajectory traffic — taxi trips
 //! arriving and aging out of a sliding window — is a stream of updates with
 //! queries interleaved. This module defines the vocabulary of that workload
-//! ([`Update`], [`UpdateError`], [`UpdateStats`], [`BatchOutcome`],
-//! [`DynamicConfig`]); the *maintenance machinery itself now lives in the
-//! unified engine's single-writer control plane* —
-//! [`Engine::apply`](crate::engine::Engine::apply) keeps every memoized
-//! [`ServedTable`] in sync across batches and publishes each batch as a
+//! ([`Update`], [`UpdateError`], [`UpdateStats`], [`BatchOutcome`]); the
+//! *maintenance machinery itself lives in the unified engine's
+//! single-writer control plane* — [`Engine::apply`] keeps every memoized
+//! [`ServedTable`](crate::maxcov::ServedTable) in sync across batches and
+//! publishes each batch as a
 //! new immutable [`Snapshot`](crate::engine::Snapshot) epoch, so static,
 //! streaming and concurrent-serving callers share one type (see
 //! [`crate::serve`] for the multi-reader side).
@@ -24,7 +24,8 @@
 //! facility is *patched*: only the delta trajectories are tested against
 //! its stops (masks are independent per trajectory, so a patch is exact,
 //! not an approximation). When a batch touches a facility with more deltas
-//! than [`DynamicConfig::rebuild_fraction`] of the live set, patching would
+//! than [`EngineBuilder::rebuild_fraction`](crate::engine::EngineBuilder::rebuild_fraction)
+//! of the live set, patching would
 //! approach the cost of a fresh evaluation, so the engine falls back to a
 //! *targeted rebuild* of just that facility's cache through the TQ-tree —
 //! fanned out across threads together with all other rebuilds of the batch.
@@ -45,12 +46,11 @@
 //!
 //! # Example
 //!
-//! [`DynamicEngine`] is a thin compatibility wrapper over [`Engine`] (an
-//! eagerly warmed engine with a TQ-tree backend); new code should use
-//! [`Engine`] and [`Engine::apply`] directly.
+//! A warmed [`Engine`] maintains its full-facility table across batches:
 //!
 //! ```
-//! use tq_core::dynamic::{DynamicConfig, DynamicEngine, Update};
+//! use tq_core::dynamic::Update;
+//! use tq_core::engine::{Engine, Query};
 //! use tq_core::service::{Scenario, ServiceModel};
 //! use tq_geometry::{Point, Rect};
 //! use tq_trajectory::{Facility, FacilitySet, Trajectory, UserSet};
@@ -64,13 +64,17 @@
 //!     Facility::new(vec![p(10.0, 11.0), p(20.0, 11.0)]), // serves user 0
 //!     Facility::new(vec![p(80.0, 81.0), p(90.0, 81.0)]), // serves user 1
 //! ]);
-//! let model = ServiceModel::new(Scenario::Transit, 2.0);
-//! let bounds = Rect::new(p(0.0, 0.0), p(100.0, 100.0));
-//! let mut engine =
-//!     DynamicEngine::new(users, routes, model, DynamicConfig::default(), bounds);
+//! let mut engine = Engine::builder(ServiceModel::new(Scenario::Transit, 2.0))
+//!     .users(users)
+//!     .facilities(routes)
+//!     .bounds(Rect::new(p(0.0, 0.0), p(100.0, 100.0)))
+//!     .build()
+//!     .unwrap();
+//! engine.warm();
 //!
 //! // Both routes serve one user each.
-//! assert_eq!(engine.top_k(2), vec![(0, 1.0), (1, 1.0)]);
+//! let top = engine.run(Query::top_k(2)).unwrap();
+//! assert_eq!(top.ranked(), [(0, 1.0), (1, 1.0)]);
 //!
 //! // A second commuter arrives near route 0; the batch never touches
 //! // route 1, so its cached result is reused as-is.
@@ -79,48 +83,24 @@
 //!     p(19.5, 10.0),
 //! ))];
 //! engine.apply(&batch).unwrap();
-//! assert_eq!(engine.top_k(2), vec![(0, 2.0), (1, 1.0)]);
+//! let top = engine.run(Query::top_k(2)).unwrap();
+//! assert_eq!(top.ranked(), [(0, 2.0), (1, 1.0)]);
 //! assert_eq!(engine.stats().facilities_untouched, 1);
-//! ```
 //!
-//! Expiring a trajectory is just as cheap — the engine drops its mask
-//! entries and the index items, no facility re-evaluation needed:
-//!
-//! ```
-//! use tq_core::dynamic::{DynamicConfig, DynamicEngine, Update};
-//! use tq_core::service::{Scenario, ServiceModel};
-//! use tq_geometry::{Point, Rect};
-//! use tq_trajectory::{Facility, FacilitySet, Trajectory, UserSet};
-//!
-//! let p = |x: f64, y: f64| Point::new(x, y);
-//! let users = UserSet::from_vec(vec![
-//!     Trajectory::two_point(p(5.0, 5.0), p(6.0, 5.0)),
-//!     Trajectory::two_point(p(5.5, 5.0), p(6.5, 5.0)),
-//! ]);
-//! let routes =
-//!     FacilitySet::from_vec(vec![Facility::new(vec![p(5.0, 5.5), p(6.5, 5.5)])]);
-//! let model = ServiceModel::new(Scenario::Transit, 1.0);
-//! let bounds = Rect::new(p(0.0, 0.0), p(10.0, 10.0));
-//! let mut engine =
-//!     DynamicEngine::new(users, routes, model, DynamicConfig::default(), bounds);
-//! assert_eq!(engine.value_of(0), 2.0);
-//!
+//! // Expiring a trajectory is just as cheap — the engine drops its mask
+//! // entries and the index items, no facility re-evaluation needed.
 //! engine.apply(&[Update::Remove(0)]).unwrap();
-//! assert_eq!(engine.value_of(0), 1.0);
-//! assert_eq!(engine.live_users(), 1);
+//! assert_eq!(engine.full_table().unwrap().values[0], 1.0);
+//! assert_eq!(engine.live_users(), 2);
 //! // Removing the same trajectory twice is an error, and rejected batches
 //! // leave the engine untouched.
 //! assert!(engine.apply(&[Update::Remove(0)]).is_err());
-//! assert_eq!(engine.live_users(), 1);
+//! assert_eq!(engine.live_users(), 2);
 //! ```
 
-use crate::engine::{Engine, EngineError};
-use crate::maxcov::{greedy, CovOutcome, ServedTable};
-use crate::service::ServiceModel;
-use crate::tqtree::{TqTree, TqTreeConfig};
-use tq_geometry::Rect;
-use tq_trajectory::{FacilityId, FacilitySet, Trajectory, TrajectoryId, UserSet};
-
+#[cfg(doc)]
+use crate::engine::Engine;
+use tq_trajectory::{Trajectory, TrajectoryId};
 /// One event of a dynamic trajectory workload.
 #[derive(Debug, Clone)]
 pub enum Update {
@@ -129,13 +109,12 @@ pub enum Update {
     Insert(Trajectory),
     /// The trajectory with this id expires: it is unindexed and stops
     /// contributing to every query answer. Ids are never reused; the
-    /// trajectory stays in the [`UserSet`] as an id-stable tombstone.
+    /// trajectory stays in the [`UserSet`](tq_trajectory::UserSet) as an id-stable tombstone.
     Remove(TrajectoryId),
 }
 
-/// Errors rejected by [`Engine::apply`] /
-/// [`DynamicEngine::apply`]. A rejected batch is applied not at all
-/// (all-or-nothing).
+/// Errors rejected by [`Engine::apply`]. A rejected batch is applied not
+/// at all (all-or-nothing).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpdateError {
     /// An inserted trajectory has points outside the engine's fixed bounds.
@@ -249,177 +228,17 @@ pub struct BatchOutcome {
     pub reevaluated: usize,
 }
 
-/// Construction parameters of a [`DynamicEngine`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DynamicConfig {
-    /// TQ-tree parameters for the owned index.
-    pub tree: TqTreeConfig,
-    /// Patch-vs-rebuild threshold: when one batch carries more relevant
-    /// deltas for a facility than this fraction of the live trajectory
-    /// count, the facility's cache is rebuilt through the tree instead of
-    /// patched delta-by-delta. `0.0` forces a rebuild for every touched
-    /// facility; `1.0` effectively always patches.
-    pub rebuild_fraction: f64,
-}
-
-impl Default for DynamicConfig {
-    fn default() -> Self {
-        DynamicConfig {
-            tree: TqTreeConfig::default(),
-            rebuild_fraction: crate::engine::DEFAULT_REBUILD_FRACTION,
-        }
-    }
-}
-
-/// Compatibility wrapper: an eagerly warmed [`Engine`] with a TQ-tree
-/// backend, exposing the original dynamic-workload API. All maintenance
-/// logic lives in [`Engine::apply`]; this type only delegates. New code
-/// should use [`Engine`] and [`crate::engine::Query`] directly.
-#[derive(Debug, Clone)]
-pub struct DynamicEngine {
-    inner: Engine,
-    /// The full-facility candidate key (all ids, ascending).
-    all: Vec<FacilityId>,
-    config: DynamicConfig,
-}
-
-impl DynamicEngine {
-    /// Builds the engine: indexes `initial` in a TQ-tree over `bounds` and
-    /// evaluates every facility once to seed the incremental caches.
-    ///
-    /// `bounds` must cover every future arrival (inserts outside it are
-    /// rejected); pass the generating region, e.g. the city extent.
-    ///
-    /// # Panics
-    /// Panics when an initial trajectory lies outside `bounds`.
-    pub fn new(
-        initial: UserSet,
-        facilities: FacilitySet,
-        model: ServiceModel,
-        config: DynamicConfig,
-        bounds: Rect,
-    ) -> DynamicEngine {
-        assert!(
-            initial
-                .iter()
-                .all(|(_, t)| t.points().iter().all(|p| bounds.contains(p))),
-            "initial trajectories must lie within the engine bounds"
-        );
-        let mut inner = Engine::builder(model)
-            .users(initial)
-            .facilities(facilities)
-            .tree_config(config.tree)
-            .bounds(bounds)
-            .rebuild_fraction(config.rebuild_fraction)
-            .build()
-            .expect("bounds pre-checked");
-        inner.warm();
-        let all = inner.facilities().iter().map(|(id, _)| id).collect();
-        DynamicEngine { inner, all, config }
-    }
-
-    /// Applies one batch of updates — see [`Engine::apply`].
-    pub fn apply(&mut self, updates: &[Update]) -> Result<BatchOutcome, UpdateError> {
-        self.inner.apply(updates).map_err(|e| match e {
-            EngineError::Update(u) => u,
-            other => unreachable!("tq-tree backend apply: {other}"),
-        })
-    }
-
-    /// The kMaxRRST answer over the current live set: the `k` facilities
-    /// with the highest service value, best first, ties broken by ascending
-    /// facility id — bit-identical to
-    /// [`crate::top_k_facilities`] on a freshly built index.
-    pub fn top_k(&self, k: usize) -> Vec<(FacilityId, f64)> {
-        Engine::rank_table(self.served_table(), k)
-    }
-
-    /// The greedy MaxkCovRST answer over the current live set —
-    /// bit-identical to [`greedy()`](crate::maxcov::greedy()) over a
-    /// freshly built [`ServedTable`].
-    pub fn greedy_cover(&self, k: usize) -> CovOutcome {
-        greedy(
-            self.served_table(),
-            self.inner.users(),
-            self.inner.model(),
-            k,
-        )
-    }
-
-    /// The maintained per-facility state as the [`ServedTable`] every
-    /// MaxkCovRST solver consumes — borrowed, not copied.
-    pub fn served_table(&self) -> &ServedTable {
-        self.inner
-            .cached_table(&self.all)
-            .expect("warmed at construction")
-    }
-
-    /// The maintained service value of one facility.
-    pub fn value_of(&self, id: FacilityId) -> f64 {
-        self.served_table().values[id as usize]
-    }
-
-    /// Number of live (inserted and not yet removed) trajectories.
-    pub fn live_users(&self) -> usize {
-        self.inner.live_users()
-    }
-
-    /// Whether trajectory `id` is currently live.
-    pub fn is_live(&self, id: TrajectoryId) -> bool {
-        self.inner.is_live(id)
-    }
-
-    /// Ids of the live trajectories, ascending.
-    pub fn live_ids(&self) -> impl Iterator<Item = TrajectoryId> + '_ {
-        self.inner.live_ids()
-    }
-
-    /// A compacted [`UserSet`] of just the live trajectories, in ascending
-    /// id order — see [`Engine::live_set`].
-    pub fn live_set(&self) -> UserSet {
-        self.inner.live_set()
-    }
-
-    /// Accumulated work counters.
-    pub fn stats(&self) -> &UpdateStats {
-        self.inner.stats()
-    }
-
-    /// The owned index.
-    pub fn tree(&self) -> &TqTree {
-        self.inner.tree().expect("tq-tree backend")
-    }
-
-    /// The owned trajectory set (including removed tombstones; see
-    /// [`DynamicEngine::is_live`]).
-    pub fn users(&self) -> &UserSet {
-        self.inner.users()
-    }
-
-    /// The registered facilities.
-    pub fn facilities(&self) -> &FacilitySet {
-        self.inner.facilities()
-    }
-
-    /// The registered service model.
-    pub fn model(&self) -> &ServiceModel {
-        self.inner.model()
-    }
-
-    /// The construction parameters.
-    pub fn config(&self) -> &DynamicConfig {
-        &self.config
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::Scenario;
+    use crate::engine::{Engine, EngineError, Query, DEFAULT_REBUILD_FRACTION};
+    use crate::maxcov::{greedy, CovOutcome, ServedTable};
+    use crate::service::{Scenario, ServiceModel};
     use crate::top_k_facilities;
+    use crate::tqtree::{TqTree, TqTreeConfig};
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use tq_geometry::Point;
-    use tq_trajectory::Facility;
+    use tq_geometry::{Point, Rect};
+    use tq_trajectory::{Facility, FacilityId, FacilitySet, UserSet};
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
@@ -464,14 +283,42 @@ mod tests {
         Rect::new(p(0.0, 0.0), p(100.0, 100.0))
     }
 
+    /// A warmed TQ-tree engine: the full-facility table is memoized up
+    /// front, so every batch maintains it incrementally.
+    fn warmed(
+        users: UserSet,
+        facilities: FacilitySet,
+        model: ServiceModel,
+        tree: TqTreeConfig,
+        rebuild_fraction: f64,
+    ) -> Engine {
+        let mut engine = Engine::builder(model)
+            .users(users)
+            .facilities(facilities)
+            .tree_config(tree)
+            .bounds(bounds())
+            .rebuild_fraction(rebuild_fraction)
+            .build()
+            .unwrap();
+        engine.warm();
+        engine
+    }
+
+    fn top_k(engine: &mut Engine, k: usize) -> Vec<(FacilityId, f64)> {
+        let answer = engine.run(Query::top_k(k)).unwrap();
+        assert!(answer.explain.cache.is_hit(), "served from the maintained table");
+        answer.ranked().to_vec()
+    }
+
+    fn greedy_cover(engine: &mut Engine, k: usize) -> CovOutcome {
+        engine.run(Query::max_cov(k)).unwrap().cover().clone()
+    }
+
     /// Fresh-build reference: index only the live trajectories (compacted
     /// ids) and answer both queries from scratch.
-    fn fresh_answers(
-        engine: &DynamicEngine,
-        k: usize,
-    ) -> (Vec<f64>, CovOutcome) {
+    fn fresh_answers(engine: &Engine, tree: TqTreeConfig, k: usize) -> (Vec<f64>, CovOutcome) {
         let live = engine.live_set();
-        let tree = TqTree::build_with_bounds(&live, engine.config.tree, bounds());
+        let tree = TqTree::build_with_bounds(&live, tree, bounds());
         let top = top_k_facilities(&tree, &live, engine.model(), engine.facilities(), k);
         let table = ServedTable::build(&tree, &live, engine.model(), engine.facilities());
         let cov = greedy(&table, &live, engine.model(), k);
@@ -481,18 +328,13 @@ mod tests {
     #[test]
     fn matches_fresh_build_after_random_batches() {
         let mut rng = StdRng::seed_from_u64(71);
-        let users = random_users(300, 72);
-        let facilities = random_facilities(24, 73);
-        let model = ServiceModel::new(Scenario::Transit, 4.0);
-        let mut engine = DynamicEngine::new(
-            users,
-            facilities,
-            model,
-            DynamicConfig {
-                tree: TqTreeConfig::default().with_beta(8),
-                ..DynamicConfig::default()
-            },
-            bounds(),
+        let tree = TqTreeConfig::default().with_beta(8);
+        let mut engine = warmed(
+            random_users(300, 72),
+            random_facilities(24, 73),
+            ServiceModel::new(Scenario::Transit, 4.0),
+            tree,
+            DEFAULT_REBUILD_FRACTION,
         );
         for _ in 0..6 {
             let mut batch = Vec::new();
@@ -515,11 +357,11 @@ mod tests {
                 }
             }
             engine.apply(&batch).unwrap();
-            let got_top = engine.top_k(5);
-            let (want_top, want_cov) = fresh_answers(&engine, 5);
+            let got_top = top_k(&mut engine, 5);
+            let (want_top, want_cov) = fresh_answers(&engine, tree, 5);
             let got_vals: Vec<f64> = got_top.iter().map(|(_, v)| *v).collect();
             assert_eq!(got_vals, want_top, "top-k values diverged");
-            let got_cov = engine.greedy_cover(5);
+            let got_cov = greedy_cover(&mut engine, 5);
             assert_eq!(got_cov.chosen, want_cov.chosen);
             assert_eq!(got_cov.value, want_cov.value);
             assert_eq!(got_cov.users_served, want_cov.users_served);
@@ -533,15 +375,12 @@ mod tests {
         let facilities = random_facilities(16, 82);
         let model = ServiceModel::new(Scenario::PointCount, 5.0);
         let mk = |rebuild_fraction: f64| {
-            DynamicEngine::new(
+            warmed(
                 users.clone(),
                 facilities.clone(),
                 model,
-                DynamicConfig {
-                    tree: TqTreeConfig::default().with_beta(8),
-                    rebuild_fraction,
-                },
-                bounds(),
+                TqTreeConfig::default().with_beta(8),
+                rebuild_fraction,
             )
         };
         let mut patching = mk(1.0);
@@ -556,26 +395,23 @@ mod tests {
         let b = rebuilding.apply(&batch).unwrap();
         assert_eq!(a.reevaluated, 0, "threshold 1.0 must always patch");
         assert!(b.reevaluated > 0, "threshold 0.0 must always rebuild");
-        assert_eq!(patching.top_k(16), rebuilding.top_k(16));
-        let ga = patching.greedy_cover(4);
-        let gb = rebuilding.greedy_cover(4);
+        assert_eq!(top_k(&mut patching, 16), top_k(&mut rebuilding, 16));
+        let ga = greedy_cover(&mut patching, 4);
+        let gb = greedy_cover(&mut rebuilding, 4);
         assert_eq!(ga.chosen, gb.chosen);
         assert_eq!(ga.value, gb.value);
     }
 
     #[test]
     fn rejected_batches_leave_engine_untouched() {
-        let users = random_users(50, 91);
-        let facilities = random_facilities(8, 92);
-        let model = ServiceModel::new(Scenario::Transit, 4.0);
-        let mut engine = DynamicEngine::new(
-            users,
-            facilities,
-            model,
-            DynamicConfig::default(),
-            bounds(),
+        let mut engine = warmed(
+            random_users(50, 91),
+            random_facilities(8, 92),
+            ServiceModel::new(Scenario::Transit, 4.0),
+            TqTreeConfig::default(),
+            DEFAULT_REBUILD_FRACTION,
         );
-        let top_before = engine.top_k(8);
+        let top_before = top_k(&mut engine, 8);
         // Insert fine, then remove a dead id: whole batch rejected.
         let batch = vec![
             Update::Insert(Trajectory::two_point(p(1.0, 1.0), p(2.0, 2.0))),
@@ -583,11 +419,11 @@ mod tests {
         ];
         assert_eq!(
             engine.apply(&batch).unwrap_err(),
-            UpdateError::NotLive { index: 1, id: 9999 }
+            EngineError::Update(UpdateError::NotLive { index: 1, id: 9999 })
         );
         assert_eq!(engine.live_users(), 50);
         assert_eq!(engine.users().len(), 50, "no partial insert applied");
-        assert_eq!(engine.top_k(8), top_before);
+        assert_eq!(top_k(&mut engine, 8), top_before);
         // Out-of-bounds insert likewise.
         let batch = vec![Update::Insert(Trajectory::two_point(
             p(1.0, 1.0),
@@ -595,13 +431,13 @@ mod tests {
         ))];
         assert_eq!(
             engine.apply(&batch).unwrap_err(),
-            UpdateError::OutOfBounds { index: 0 }
+            EngineError::Update(UpdateError::OutOfBounds { index: 0 })
         );
         // Double-remove within one batch.
         let batch = vec![Update::Remove(3), Update::Remove(3)];
         assert_eq!(
             engine.apply(&batch).unwrap_err(),
-            UpdateError::NotLive { index: 1, id: 3 }
+            EngineError::Update(UpdateError::NotLive { index: 1, id: 3 })
         );
         assert_eq!(engine.stats().batches, 0);
     }
@@ -615,13 +451,12 @@ mod tests {
             Facility::new(vec![p(5.0, 6.0), p(8.0, 6.0)]),
             Facility::new(vec![p(90.0, 90.0), p(95.0, 90.0)]),
         ]);
-        let model = ServiceModel::new(Scenario::Transit, 2.0);
-        let mut engine = DynamicEngine::new(
+        let mut engine = warmed(
             users,
             facilities,
-            model,
-            DynamicConfig::default(),
-            bounds(),
+            ServiceModel::new(Scenario::Transit, 2.0),
+            TqTreeConfig::default(),
+            DEFAULT_REBUILD_FRACTION,
         );
         engine
             .apply(&[Update::Insert(Trajectory::two_point(
@@ -632,25 +467,23 @@ mod tests {
         assert_eq!(engine.stats().facilities_untouched, 1);
         assert_eq!(engine.stats().facilities_patched, 1);
         assert_eq!(engine.stats().facilities_reevaluated, 0);
-        assert_eq!(engine.value_of(0), 2.0);
-        assert_eq!(engine.value_of(1), 0.0);
+        let values = &engine.full_table().unwrap().values;
+        assert_eq!(values[0], 2.0);
+        assert_eq!(values[1], 0.0);
         assert!(engine.stats().skipped_fraction() == 1.0);
         assert!(engine.stats().untouched_fraction() == 0.5);
     }
 
     #[test]
     fn batch_insert_then_remove_same_id_nets_out() {
-        let users = random_users(40, 95);
-        let facilities = random_facilities(6, 96);
-        let model = ServiceModel::new(Scenario::Transit, 5.0);
-        let mut engine = DynamicEngine::new(
-            users.clone(),
-            facilities,
-            model,
-            DynamicConfig::default(),
-            bounds(),
+        let mut engine = warmed(
+            random_users(40, 95),
+            random_facilities(6, 96),
+            ServiceModel::new(Scenario::Transit, 5.0),
+            TqTreeConfig::default(),
+            DEFAULT_REBUILD_FRACTION,
         );
-        let top_before = engine.top_k(6);
+        let top_before = top_k(&mut engine, 6);
         // The arriving trajectory gets id 40 and expires within the batch.
         let t = Trajectory::two_point(p(50.0, 50.0), p(55.0, 50.0));
         let out = engine
@@ -659,6 +492,6 @@ mod tests {
         assert_eq!(out.inserted, vec![40]);
         assert_eq!(out.removed, 1);
         assert_eq!(engine.live_users(), 40);
-        assert_eq!(engine.top_k(6), top_before);
+        assert_eq!(top_k(&mut engine, 6), top_before);
     }
 }

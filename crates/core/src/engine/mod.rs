@@ -145,10 +145,10 @@ mod snapshot;
 
 pub use memo::DEFAULT_SUBSET_TABLES;
 pub use session::{Algorithm, Answer, CacheStatus, Explain, Query, QueryResult};
-pub use snapshot::{Reader, Snapshot};
+pub use snapshot::{PlaneInfo, Reader, Snapshot};
 
 pub(crate) use memo::TableMemo;
-use snapshot::SnapshotSlot;
+pub(crate) use snapshot::SnapshotSlot;
 
 use crate::baseline::BaselineIndex;
 use crate::dynamic::{BatchOutcome, Update, UpdateError, UpdateStats};
@@ -158,6 +158,7 @@ use crate::maxcov::ServedTable;
 use crate::parallel;
 use crate::persist::{Durable, StoreConfig};
 use crate::service::ServiceModel;
+use crate::sharding::ShardSet;
 use crate::topk::{top_k_facilities, TopKOutcome};
 use crate::tqtree::{TqTree, TqTreeConfig};
 use std::path::{Path, PathBuf};
@@ -166,7 +167,7 @@ use tq_geometry::Rect;
 use tq_trajectory::{Facility, FacilityId, FacilitySet, TrajectoryId, UserSet};
 
 /// Default patch-vs-rebuild threshold for [`Engine::apply`] (see
-/// [`crate::dynamic::DynamicConfig::rebuild_fraction`]).
+/// [`EngineBuilder::rebuild_fraction`]).
 pub const DEFAULT_REBUILD_FRACTION: f64 = 0.25;
 
 // ---------------------------------------------------------------------------
@@ -177,10 +178,10 @@ pub const DEFAULT_REBUILD_FRACTION: f64 = 0.25;
 /// served-point masks, an accelerated (or exhaustive) top-k, and
 /// [`ServedTable`] construction for a candidate subset.
 ///
-/// Implemented by [`TqTree`] (the paper's contribution) and
-/// [`BaselineIndex`] (the paper's BL reference); [`Backend`] dispatches
-/// between them. All implementations must report values summed in the
-/// canonical ascending-trajectory-id order
+/// Implemented by [`TqTree`] (the paper's contribution), [`BaselineIndex`]
+/// (the paper's BL reference) and [`ShardSet`] (either of them, partitioned
+/// by user); [`Backend`] dispatches between them. All implementations must
+/// report values summed in the canonical ascending-trajectory-id order
 /// ([`crate::eval::canonical_value`]) so answers are bit-identical across
 /// backends whenever the backends expose the same trajectory points (see
 /// the [module docs](self) for the one placement caveat).
@@ -211,6 +212,24 @@ pub trait Index {
         facilities: &FacilitySet,
         candidates: &[FacilityId],
     ) -> ServedTable;
+
+    /// [`Index::served_table`], additionally handing out the per-partition
+    /// tables the result was merged from, in partition order — what a
+    /// partitioned index's control plane memoizes next to the merged table
+    /// so updates can maintain the parts incrementally. Unpartitioned
+    /// indexes (the default) have no parts.
+    fn served_table_parts(
+        &self,
+        users: &UserSet,
+        model: &ServiceModel,
+        facilities: &FacilitySet,
+        candidates: &[FacilityId],
+    ) -> (ServedTable, Vec<Arc<ServedTable>>) {
+        (
+            self.served_table(users, model, facilities, candidates),
+            Vec::new(),
+        )
+    }
 }
 
 impl Index for TqTree {
@@ -304,6 +323,11 @@ pub enum Backend {
     /// The paper's BL point-quadtree baseline (exhaustive top-k, range
     /// query + verification per facility).
     Baseline(BaselineIndex),
+    /// The users partitioned across independent shard snapshots — what a
+    /// [`ShardedEngine`](crate::sharding::ShardedEngine) publishes. Tables
+    /// are the shards' tables merged into the global id space, so every
+    /// query family answers bit-identically to one index over the union.
+    Sharded(ShardSet),
 }
 
 impl Backend {
@@ -311,6 +335,7 @@ impl Backend {
         match self {
             Backend::TqTree(t) => t,
             Backend::Baseline(b) => b,
+            Backend::Sharded(s) => s,
         }
     }
 
@@ -320,7 +345,8 @@ impl Backend {
     }
 }
 
-/// Discriminant of [`Backend`], carried by [`Explain`].
+/// The index family behind a [`Backend`], carried by [`Explain`] (a
+/// [`Backend::Sharded`] reports its shards' family).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// [`Backend::TqTree`].
@@ -529,9 +555,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Patch-vs-rebuild threshold for [`Engine::apply`] (see
-    /// [`crate::dynamic::DynamicConfig::rebuild_fraction`]; defaults to
-    /// [`DEFAULT_REBUILD_FRACTION`]).
+    /// Patch-vs-rebuild threshold for [`Engine::apply`]: when one batch
+    /// carries more relevant deltas for a facility than this fraction of
+    /// the live trajectory count, the facility's cached masks are rebuilt
+    /// through the tree instead of patched delta-by-delta. `0.0` forces a
+    /// rebuild for every touched facility; `1.0` effectively always
+    /// patches. Defaults to [`DEFAULT_REBUILD_FRACTION`].
     pub fn rebuild_fraction(mut self, fraction: f64) -> EngineBuilder {
         self.rebuild_fraction = fraction;
         self
@@ -907,10 +936,6 @@ impl Engine {
     /// The memoized full-facility table (see [`Engine::warm`]).
     pub fn full_table(&self) -> Option<&ServedTable> {
         self.snapshot.full_table()
-    }
-
-    pub(crate) fn rank_table(table: &ServedTable, k: usize) -> Vec<(FacilityId, f64)> {
-        session::rank_table(table, k)
     }
 
     // -- updates ------------------------------------------------------------

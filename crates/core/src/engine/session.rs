@@ -330,11 +330,10 @@ fn query_metrics() -> &'static QueryMetrics {
     })
 }
 
-/// Rolls one completed query's [`Explain`] into the metrics registry —
-/// the one counting point shared by the single-engine and sharded
-/// execution paths, so every query is counted exactly once. A handful of
-/// `Relaxed` atomic adds; one load-and-branch when recording is off.
-pub(crate) fn note_query(explain: &Explain) {
+/// Rolls one completed query's [`Explain`] into the metrics registry. A
+/// handful of `Relaxed` atomic adds; one load-and-branch when recording is
+/// off.
+fn note_query(explain: &Explain) {
     if !tq_obs::enabled() {
         return;
     }
@@ -377,6 +376,20 @@ pub(crate) fn note_slow_query(explain: &Explain) {
 pub(crate) struct TableOutcome {
     pub(crate) key: Vec<FacilityId>,
     pub(crate) built: Option<Arc<ServedTable>>,
+    /// The per-partition tables `built` was merged from (see
+    /// [`Index::served_table_parts`](super::Index::served_table_parts));
+    /// empty on a hit and for unpartitioned backends.
+    pub(crate) parts: Vec<Arc<ServedTable>>,
+}
+
+impl TableOutcome {
+    fn hit(key: Vec<FacilityId>) -> TableOutcome {
+        TableOutcome {
+            key,
+            built: None,
+            parts: Vec::new(),
+        }
+    }
 }
 
 /// Executes a query against one immutable snapshot. Pure with respect to
@@ -421,15 +434,7 @@ pub(crate) fn execute(
 
 /// Sorted, deduplicated, validated candidate ids for a query.
 fn resolve_candidates(snap: &Snapshot, query: &Query) -> Result<Vec<FacilityId>, EngineError> {
-    resolve_candidates_in(&snap.facilities, query)
-}
-
-/// [`resolve_candidates`] against an explicit facility set — shared with
-/// the sharded front end, whose candidate rules must match exactly.
-pub(crate) fn resolve_candidates_in(
-    facilities: &FacilitySet,
-    query: &Query,
-) -> Result<Vec<FacilityId>, EngineError> {
+    let facilities = &snap.facilities;
     let mut cand = match &query.candidates {
         Some(ids) => {
             let mut ids = ids.clone();
@@ -466,10 +471,7 @@ fn dispatch(
             // hits do — a hot subset stays resident no matter which query
             // family keeps it hot.
             if explain.cache.is_hit() {
-                *outcome = Some(TableOutcome {
-                    key: cand.to_vec(),
-                    built: None,
-                });
+                *outcome = Some(TableOutcome::hit(cand.to_vec()));
             }
             Ok(QueryResult::TopK(ranked))
         }
@@ -568,18 +570,21 @@ fn resolve_table(
 ) -> (Arc<ServedTable>, TableOutcome) {
     if let Some(table) = snap.tables.get(&key) {
         explain.cache = CacheStatus::Hit;
-        return (table.clone(), TableOutcome { key, built: None });
+        return (table.clone(), TableOutcome::hit(key));
     }
     explain.cache = CacheStatus::Miss;
-    let table = snap
-        .backend
-        .as_index()
-        .served_table(&snap.users, &snap.model, &snap.facilities, &key);
+    let (table, parts) = snap.backend.as_index().served_table_parts(
+        &snap.users,
+        &snap.model,
+        &snap.facilities,
+        &key,
+    );
     explain.eval.add(&table.stats);
     let table = Arc::new(table);
     let outcome = TableOutcome {
         key,
         built: Some(table.clone()),
+        parts,
     };
     (table, outcome)
 }

@@ -16,12 +16,13 @@
 //! reader quiescence protocol.
 
 use super::session::{self, Answer, Query};
-use super::{Backend, EngineError};
+use super::{Backend, BackendKind, EngineError};
 use crate::fasthash::FxHashMap;
 use crate::maxcov::ServedTable;
 use crate::service::ServiceModel;
 use crate::tqtree::TqTree;
 use std::sync::{Arc, RwLock};
+use std::time::Instant;
 use tq_trajectory::{FacilityId, FacilitySet, UserSet};
 
 /// One immutable, epoch-numbered version of the engine's entire queryable
@@ -98,7 +99,7 @@ impl Snapshot {
     pub fn tree(&self) -> Option<&TqTree> {
         match &*self.backend {
             Backend::TqTree(t) => Some(t),
-            Backend::Baseline(_) => None,
+            Backend::Baseline(_) | Backend::Sharded(_) => None,
         }
     }
 
@@ -153,10 +154,28 @@ impl SnapshotSlot {
     }
 }
 
+/// A point-in-time description of a published [`Snapshot`] — what a
+/// daemon's hello/status frames report about the engine behind them.
+#[derive(Debug, Clone, Copy)]
+pub struct PlaneInfo {
+    /// The latest published epoch.
+    pub epoch: u64,
+    /// The backend kind (homogeneous across the shards of a sharded engine).
+    pub backend: BackendKind,
+    /// Total trajectories, tombstones included.
+    pub users: usize,
+    /// Live (not removed) trajectories.
+    pub live_users: usize,
+    /// Registered candidate facilities.
+    pub facilities: usize,
+}
+
 /// A cloneable, `Send + Sync` handle to an engine's latest published
 /// [`Snapshot`] — the address a serving thread holds.
 ///
-/// Obtained from [`Engine::reader`](super::Engine::reader); cheap to clone
+/// Obtained from [`Engine::reader`](super::Engine::reader) or
+/// [`ShardedEngine::reader`](crate::sharding::ShardedEngine::reader) (the
+/// two control planes publish the same snapshot type); cheap to clone
 /// (one `Arc`). [`Reader::snapshot`] returns the snapshot current at call
 /// time; the reader then queries that immutable snapshot for as long as it
 /// likes (typically one request) while the writer publishes newer epochs
@@ -180,5 +199,30 @@ impl Reader {
     /// `self.snapshot().epoch()`).
     pub fn epoch(&self) -> u64 {
         self.slot.load().epoch
+    }
+
+    /// Takes the latest snapshot and answers `query` on it. The
+    /// snapshot-grab time is recorded into the answer's
+    /// [`Explain::queued`](super::Explain::queued).
+    pub fn query(&self, query: Query) -> Result<Answer, EngineError> {
+        let arrived = Instant::now();
+        let snapshot = self.snapshot();
+        let queued = arrived.elapsed();
+        let mut answer = snapshot.run(query)?;
+        answer.explain.queued = queued;
+        session::note_slow_query(&answer.explain);
+        Ok(answer)
+    }
+
+    /// Describes the latest snapshot for status reporting.
+    pub fn info(&self) -> PlaneInfo {
+        let snap = self.snapshot();
+        PlaneInfo {
+            epoch: snap.epoch(),
+            backend: snap.backend().kind(),
+            users: snap.users().len(),
+            live_users: snap.live_users(),
+            facilities: snap.facilities().len(),
+        }
     }
 }

@@ -324,8 +324,9 @@ impl EvalState {
 /// Floating-point addition is not associative, so the same set of per-user
 /// values summed in different orders can differ in the last bits. Every
 /// finalized value this crate reports (evaluation outcomes, kMaxRRST exact
-/// values, [`crate::maxcov::ServedTable`] values, the incremental
-/// [`crate::dynamic::DynamicEngine`] caches) goes through this one function,
+/// values, [`crate::maxcov::ServedTable`] values, the tables
+/// [`Engine::apply`](crate::engine::Engine::apply) maintains incrementally,
+/// merged sharded tables) goes through this one function,
 /// which fixes the order by content — so *any* two states with identical
 /// mask contents report bit-identical values, no matter what history
 /// (bulk build, incremental updates, different tree shapes) produced them.

@@ -15,10 +15,10 @@
 //! * **MaxkCovRST** ([`maxcov`]) — greedy, two-step greedy, exact
 //!   (branch-and-bound) and genetic solvers for the NP-hard, non-submodular
 //!   maximum-coverage variant;
-//! * the **dynamic-workload engine** ([`dynamic`]) — batched trajectory
-//!   arrivals/expiries applied through the incremental insert/remove
-//!   machinery, with both query families kept bit-identical to a fresh
-//!   build+query after every batch.
+//! * the **dynamic-workload vocabulary** ([`dynamic`]) — batched
+//!   trajectory arrivals/expiries, applied by [`engine::Engine::apply`]
+//!   through the incremental insert/remove machinery with both query
+//!   families kept bit-identical to a fresh build+query after every batch.
 //!
 //! The service semantics of the paper's three motivating scenarios are
 //! captured by [`service::Scenario`] and evaluated through per-user
@@ -54,16 +54,16 @@
 //!
 //! The **[`sharding`]** module scales the whole stack out: a
 //! [`sharding::ShardedEngine`] partitions the users across N engines
-//! (hash or spatial z-range placement) and scatter–gathers the same
-//! [`engine::Query`] API over them — top-k by merging per-shard served
-//! tables in canonical order, greedy max-cov through the cross-shard
-//! [`sharding::GainCombiner`] rounds — **bit-identical to one engine
-//! over the union** at every shard count, with one `tq-store` per shard
-//! recovered in parallel by [`engine::Engine::open_sharded`]. Both
-//! planes are abstracted by the [`writer`] module's
-//! [`writer::ControlPlane`] / [`writer::ReadPlane`] traits, so
-//! [`serve`] and the `tq-net` server run either engine through one
-//! generic code path.
+//! (hash or spatial z-range placement) and publishes ordinary
+//! [`engine::Snapshot`]s whose backend, [`sharding::ShardSet`], is a third
+//! [`engine::Index`]: per-shard served tables merged in canonical order
+//! into real global tables, which top-k ranks and every max-cov solver
+//! consumes unchanged — **bit-identical to one engine over the union** at
+//! every shard count, with one `tq-store` per shard recovered in parallel
+//! by [`engine::Engine::open_sharded`]. Readers of either engine are the
+//! same [`engine::Reader`]; the write side is abstracted by the
+//! [`writer::ControlPlane`] trait, so [`serve`] and the `tq-net` server
+//! run either engine through one code path.
 
 #![warn(missing_docs)]
 
@@ -84,10 +84,10 @@ pub mod wire;
 pub mod writer;
 
 pub use baseline::BaselineIndex;
-pub use dynamic::{DynamicConfig, DynamicEngine, Update, UpdateError, UpdateStats};
+pub use dynamic::{Update, UpdateError, UpdateStats};
 pub use engine::{
     Algorithm, Answer, Backend, BackendKind, CacheStatus, Engine, EngineBuilder, EngineError,
-    Explain, Index, Query, QueryResult, Reader, Snapshot,
+    Explain, Index, PlaneInfo, Query, QueryResult, Reader, Snapshot,
 };
 pub use eval::{
     brute_force_masks, brute_force_value, canonical_value, evaluate_masks, evaluate_service,
@@ -100,12 +100,9 @@ pub use persist::{PersistStatus, StoreConfig, SyncPolicy};
 pub use serve::{ClientStats, ServeConfig, ServeReport, Workload};
 pub use maxcov::{CovOutcome, Coverage, GeneticConfig, MaskArena, ServedTable};
 pub use service::{MaskSizeMismatch, MaskView, PointMask, Scenario, ServiceBounds, ServiceModel};
-pub use sharding::{
-    GainCombiner, Partitioner, ShardedEngine, ShardedReader, ShardedSnapshot,
-};
+pub use sharding::{Partitioner, ShardSet, ShardedEngine};
 pub use topk::{top_k_facilities, TopKOutcome};
 pub use tqtree::{Placement, Storage, TqTree, TqTreeConfig};
 pub use writer::{
-    BatchAck, CheckpointAck, ControlPlane, PlaneInfo, ReadPlane, WriterError, WriterHandle,
-    WriterHub,
+    BatchAck, CheckpointAck, ControlPlane, WriterError, WriterHandle, WriterHub,
 };

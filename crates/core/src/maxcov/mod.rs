@@ -351,39 +351,6 @@ impl Coverage {
         gain
     }
 
-    /// The per-entry decomposition of [`Coverage::marginal_views`]:
-    /// pushes one `(id, delta)` pair for every entry where that fold would
-    /// execute a `gain +=` (always for unseen users — including zero
-    /// deltas — and only on a changed union for seen ones), in the same
-    /// ascending-id order. Folding the emitted deltas with sequential
-    /// `+=` reproduces both the marginal gain and the running-value
-    /// updates of [`Coverage::add_views`] bit-for-bit — the contract the
-    /// sharded scatter–gather greedy is built on: each shard emits its
-    /// deltas locally, the front end re-folds them in merged global-id
-    /// order.
-    pub(crate) fn marginal_deltas_views<'a>(
-        &self,
-        users: &UserSet,
-        model: &ServiceModel,
-        entries: impl IntoIterator<Item = (TrajectoryId, MaskView<'a>)>,
-        out: &mut Vec<(TrajectoryId, f64)>,
-    ) {
-        for (id, fview) in entries {
-            let t = users.get(id);
-            match self.masks.get(&id) {
-                None => out.push((id, model.value_view(t, fview))),
-                Some(cur) => {
-                    if cur.union_would_change(fview) {
-                        out.push((
-                            id,
-                            model.value_union(t, cur.view(), fview) - model.value(t, cur),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
     /// Adds a facility's masks, returning the realized marginal gain.
     pub fn add(
         &mut self,

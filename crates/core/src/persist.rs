@@ -427,7 +427,7 @@ fn get_table(
 
 /// Encodes the engine's full durable state and the snapshot header
 /// metadata describing it.
-pub(crate) fn encode_engine(engine: &Engine) -> (SnapshotMeta, BytesMut) {
+pub(crate) fn encode_engine(engine: &Engine) -> Result<(SnapshotMeta, BytesMut), EngineError> {
     let live: Vec<bool> = (0..engine.users().len() as u32)
         .map(|id| engine.is_live(id))
         .collect();
@@ -447,6 +447,10 @@ pub(crate) fn encode_engine(engine: &Engine) -> (SnapshotMeta, BytesMut) {
 /// [`encode_engine`] over loose parts, so a background checkpoint can
 /// encode from a published immutable [`Snapshot`] (plus the scalars a
 /// snapshot does not carry) without borrowing the engine.
+///
+/// A [`Backend::Sharded`] front has no single-store image — its durable
+/// form is one store per shard plus the routing log — so it is refused
+/// with [`EngineError::Sharded`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_parts(
     users: &UserSet,
@@ -458,7 +462,7 @@ pub(crate) fn encode_parts(
     epoch: u64,
     rebuild_fraction: f64,
     subset_capacity: usize,
-) -> (SnapshotMeta, BytesMut) {
+) -> Result<(SnapshotMeta, BytesMut), EngineError> {
     let mut buf = BytesMut::with_capacity(64 + users.total_points() * 16);
     buf.put_u8(scenario_tag(model.scenario));
     buf.put_f64_le(model.psi);
@@ -479,6 +483,13 @@ pub(crate) fn encode_parts(
             buf.put_u8(BACKEND_BASELINE);
             buf.put_u64_le(bl.capacity() as u64);
             (BACKEND_BASELINE, 0, 0)
+        }
+        Backend::Sharded(_) => {
+            return Err(EngineError::Sharded(
+                "a sharded front end has no single-store snapshot image; \
+                 checkpoint it through ShardedEngine::checkpoint"
+                    .into(),
+            ))
         }
     };
     // The warmed full-facility ServedTable, when the engine carries one —
@@ -501,7 +512,7 @@ pub(crate) fn encode_parts(
         tree_nodes,
         tree_items,
     };
-    (meta, buf)
+    Ok((meta, buf))
 }
 
 /// Decodes an engine from a validated snapshot file. The TQ-tree arena is
@@ -655,7 +666,7 @@ impl Engine {
             return Err(EngineError::NotDurable);
         }
         let _ = self.harvest_checkpoint_worker(true);
-        let (meta, body) = encode_engine(self);
+        let (meta, body) = encode_engine(self)?;
         let durable = self.durable.as_ref().expect("checked above");
         durable
             .lock()
@@ -791,7 +802,8 @@ impl Engine {
                     snapshot.epoch(),
                     rebuild_fraction,
                     subset_capacity,
-                );
+                )
+                .map_err(|e| StoreError::Corrupt(e.to_string()))?;
                 let delay = BG_CHECKPOINT_DELAY_MS.load(Ordering::Relaxed);
                 if delay > 0 {
                     std::thread::sleep(std::time::Duration::from_millis(delay));

@@ -3,14 +3,15 @@
 //!
 //! This is the layer that turns the two-plane engine
 //! ([`Snapshot`](crate::engine::Snapshot) read plane, single-writer
-//! [`Engine`] control plane) into a serving loop: [`serve`] spawns one
-//! **client shard** per requested client thread, hands each a cloned
-//! [`Reader`](crate::engine::Reader), and drives the engine's update
-//! stream from the calling thread (the single writer) until the
-//! configured duration elapses. [`serve_sharded`] runs the identical
-//! loop over a [`ShardedEngine`] — readers hold
-//! [`ShardedReader`](crate::sharding::ShardedReader)s and every query scatter–gathers across the
-//! shards, bit-identical to a single engine. Each shard owns its slice of the load —
+//! [`Engine`](crate::engine::Engine) control plane) into a serving loop:
+//! [`serve`] spawns one **client shard** per requested client thread,
+//! hands each a cloned [`Reader`], and drives the engine's update stream
+//! from the calling thread (the single writer) until the configured
+//! duration elapses. The loop is generic over the [`ControlPlane`], so a
+//! [`ShardedEngine`](crate::sharding::ShardedEngine) is served by the same
+//! code — its readers hold the same [`Reader`] type, over snapshots whose
+//! backend scatter–gathers across the engine's shards, bit-identical to a
+//! single engine. Each shard owns its slice of the load —
 //! its own query cursor (offset by shard id so shards interleave the
 //! script differently), its own counters, its own latency accumulators —
 //! so the hot path shares nothing but the publication slot and one stop
@@ -69,10 +70,9 @@
 //! ```
 
 use crate::dynamic::Update;
-use crate::engine::{Answer, Engine, EngineError, Query};
+use crate::engine::{Answer, EngineError, Query, Reader};
 use crate::parallel;
-use crate::sharding::ShardedEngine;
-use crate::writer::{ControlPlane, ReadPlane};
+use crate::writer::ControlPlane;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -107,11 +107,12 @@ pub struct ServeConfig {
     /// (`Duration::ZERO` = apply back-to-back).
     pub update_pause: Duration,
     /// On a durable engine (see [`crate::persist`]), finish the run with
-    /// an [`Engine::checkpoint`] so the whole serving session's updates
-    /// are compacted into one fresh snapshot and the WAL is empty for the
-    /// next cold start. Ignored (no-op) on in-memory engines. During the
-    /// run itself every applied batch is already WAL-logged by
-    /// [`Engine::apply`] before it publishes.
+    /// an [`Engine::checkpoint`](crate::engine::Engine::checkpoint) so the
+    /// whole serving session's updates are compacted into one fresh
+    /// snapshot and the WAL is empty for the next cold start. Ignored
+    /// (no-op) on in-memory engines. During the run itself every applied
+    /// batch is already WAL-logged by
+    /// [`Engine::apply`](crate::engine::Engine::apply) before it publishes.
     pub final_checkpoint: bool,
 }
 
@@ -251,36 +252,7 @@ impl ServeReport {
 ///
 /// # Panics
 /// Panics when `config.clients == 0` or `workload.queries` is empty.
-pub fn serve(
-    engine: &mut Engine,
-    workload: &Workload,
-    config: &ServeConfig,
-) -> Result<ServeReport, EngineError> {
-    serve_with(engine, workload, config)
-}
-
-/// The sharded sibling of [`serve`]: identical loop, identical report —
-/// client shards answer off published
-/// [`ShardedSnapshot`](crate::sharding::ShardedSnapshot)s (each query
-/// scatter–gathers across the engine's shards, bit-identical to a single
-/// engine) while the calling thread applies the update stream through
-/// [`ShardedEngine::apply`], which routes each batch to its owning
-/// shards and publishes one new sharded epoch.
-///
-/// # Panics
-/// Panics when `config.clients == 0` or `workload.queries` is empty.
-pub fn serve_sharded(
-    engine: &mut ShardedEngine,
-    workload: &Workload,
-    config: &ServeConfig,
-) -> Result<ServeReport, EngineError> {
-    serve_with(engine, workload, config)
-}
-
-/// The serving loop both front ends share, generic over the
-/// single-writer [`ControlPlane`] and its paired
-/// [`ReadPlane`] handle.
-fn serve_with<C: ControlPlane>(
+pub fn serve<C: ControlPlane>(
     engine: &mut C,
     workload: &Workload,
     config: &ServeConfig,
@@ -395,9 +367,9 @@ fn serve_with<C: ControlPlane>(
 /// One client shard's serving loop: pick the next scripted query, take
 /// the latest snapshot, answer lock-free, account. Runs under the shard's
 /// evaluation thread budget so concurrent shards' fan-outs compose.
-fn client_shard<R: ReadPlane>(
+fn client_shard(
     shard: usize,
-    reader: &R,
+    reader: &Reader,
     queries: &[Query],
     stop: &AtomicBool,
     budget: usize,
@@ -446,6 +418,7 @@ fn client_shard<R: ReadPlane>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::service::{Scenario, ServiceModel};
     use tq_geometry::{Point, Rect};
     use tq_trajectory::{Facility, FacilitySet, Trajectory, UserSet};
@@ -572,7 +545,7 @@ mod tests {
             duration: Duration::from_millis(50),
             ..ServeConfig::default()
         };
-        let report = serve_sharded(&mut sharded, &workload, &config).unwrap();
+        let report = serve(&mut sharded, &workload, &config).unwrap();
         assert_eq!(report.batches_applied, 2);
         assert!(report.queries >= 2);
         assert_eq!(report.epoch_regressions(), 0);

@@ -16,26 +16,28 @@
 //! * the global canonical fold order is the k-way merge of the shards'
 //!   canonical orders.
 //!
-//! Top-k therefore scatter-builds per-shard tables, merges them
-//! (`exec::merge_tables`) and ranks the merged values — the exact bits
-//! a single engine computes. Greedy max-cov runs as scatter–gather
-//! *rounds* over the [`GainCombiner`] trait (see `gain.rs`): each shard
-//! scores candidates against its local coverage, the front end merges the
-//! per-user marginal-delta streams in global id order, picks the winner
-//! with plain greedy's comparator and replays the winner's stream
-//! entry-by-entry — reproducing the single engine's accumulation order,
-//! and with it the value bits. Exact and genetic solvers run on the
-//! merged table directly (they are already table-level algorithms).
+//! A merged table ([`ShardSet`], `set.rs`) is therefore a real
+//! [`ServedTable`] over the global id space carrying the exact bits a
+//! single engine computes, and nothing downstream of it needs to know it
+//! was merged: top-k ranks it, and greedy, two-step, exact and genetic
+//! max-cov run on it through the same `engine::session` code a single
+//! engine uses — one comparator, one accumulation order.
 //!
-//! # The two planes, sharded
+//! # Sharding is an `Index`
 //!
-//! The single engine's split survives intact: the [`ShardedEngine`] is
-//! the single-writer control plane; it publishes immutable
-//! [`ShardedSnapshot`]s (per-shard snapshots + global id maps + merged
-//! tables) through [`ShardedReader`] handles. Update batches are
-//! validated globally, split into per-shard sub-batches by the
-//! [`Partitioner`], and applied to the shards **in parallel** — each
-//! shard revalidates and WAL-logs its sub-batch independently.
+//! [`ShardSet`] — the per-shard [`Snapshot`]s plus the monotone
+//! local→global id maps — implements [`Index`] and
+//! sits behind [`Backend::Sharded`]. The [`ShardedEngine`] is a second
+//! single-writer control plane: it publishes ordinary [`Snapshot`]s
+//! (global users, merged tables, that backend) through ordinary
+//! [`Reader`] handles, so the read plane, the serve loop and the network
+//! server are the single engine's own. What stays sharding-specific is the
+//! write side: update batches are validated globally, split into per-shard
+//! sub-batches by the [`Partitioner`], and applied to the shards **in
+//! parallel** — each shard revalidates and WAL-logs its sub-batch
+//! independently — and the front memo is kept key-for-key in lockstep with
+//! the shard memos so every merged table's parts stay incrementally
+//! maintained.
 //!
 //! # Durability: per-shard stores + a routing log
 //!
@@ -49,25 +51,22 @@
 //! and the front end re-derives a consistent global id space over
 //! whatever survived (see `recover.rs`).
 
-mod exec;
-mod gain;
 mod partition;
 mod recover;
 mod routing;
+mod set;
 
-pub use exec::{ShardedReader, ShardedSnapshot};
-pub use gain::{GainCombiner, LocalGains};
 pub use partition::Partitioner;
+pub use set::ShardSet;
 
 use crate::dynamic::{BatchOutcome, Update, UpdateError};
 use crate::engine::{
-    Answer, Backend, BackendChoice, Engine, EngineBuilder, EngineError, Query, TableMemo,
+    session, Answer, Backend, BackendChoice, Engine, EngineBuilder, EngineError, Index, Query,
+    Reader, Snapshot, SnapshotSlot, TableMemo,
 };
-use crate::eval::EvalStats;
 use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::maxcov::ServedTable;
 use crate::persist::StoreConfig;
-use exec::{BuiltTables, ShardedSlot};
 use routing::{RouteEvent, RoutingRecord};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -106,15 +105,14 @@ pub struct ShardedEngine {
     partitioner: Partitioner,
     /// Global liveness, id-aligned with `routing`.
     live: Vec<bool>,
-    /// Global id → owning shard + local id.
+    /// Global id → owning shard + local id (the inverse, local → global,
+    /// is published in the snapshot's [`ShardSet`]).
     routing: Vec<RouteEntry>,
-    /// Per shard: local id → global id (monotone).
-    locals: Vec<Vec<TrajectoryId>>,
     /// Front-end subset-table recency bookkeeping — admitted/evicted in
     /// lockstep with every shard memo (same capacity, same key sequence).
     memo: TableMemo,
-    slot: Arc<ShardedSlot>,
-    snapshot: Arc<ShardedSnapshot>,
+    slot: Arc<SnapshotSlot>,
+    snapshot: Arc<Snapshot>,
     durable: Option<ShardedDurable>,
     /// Explicit tree bounds (always `Some` for TQ-tree shards — the
     /// builder enforces it — `None` for baseline shards).
@@ -235,12 +233,11 @@ impl ShardedEngine {
             engines.push(sb.build()?);
         }
 
-        let live_count = users.len();
         let live = vec![true; users.len()];
         let memo = TableMemo::new(template.subset_tables);
         let bounds = if is_tree { template.bounds } else { None };
         Ok(ShardedEngine::assemble(
-            engines, partitioner, live, live_count, routing, locals, users, memo, durable, bounds,
+            engines, partitioner, live, routing, locals, users, memo, durable, bounds,
         ))
     }
 
@@ -251,7 +248,6 @@ impl ShardedEngine {
         engines: Vec<Engine>,
         partitioner: Partitioner,
         live: Vec<bool>,
-        live_count: usize,
         routing: Vec<RouteEntry>,
         locals: Vec<Vec<TrajectoryId>>,
         users: UserSet,
@@ -259,16 +255,20 @@ impl ShardedEngine {
         durable: Option<ShardedDurable>,
         bounds: Option<Rect>,
     ) -> ShardedEngine {
-        let facilities = engines[0].snapshot().facilities.clone();
-        let model = *engines[0].model();
-        let snapshot = Arc::new(ShardedSnapshot {
+        let shard0 = engines[0].snapshot();
+        let snapshot = Arc::new(Snapshot {
             epoch: 0,
-            shards: engines.iter().map(|e| e.snapshot()).collect(),
-            locals: locals.iter().map(|l| Arc::new(l.clone())).collect(),
             users: Arc::new(users),
-            live_count,
-            facilities,
-            model,
+            // Shard 0's allocation, not a copy: its identity is how
+            // `ShardSet::shard_tables` tells the registered set from a
+            // restricted sub-set.
+            facilities: shard0.facilities.clone(),
+            model: shard0.model,
+            backend: Arc::new(Backend::Sharded(ShardSet {
+                shards: engines.iter().map(|e| e.snapshot()).collect(),
+                locals: locals.into_iter().map(Arc::new).collect(),
+            })),
+            live_count: live.iter().filter(|&&l| l).count(),
             tables: FxHashMap::default(),
         });
         ShardedEngine {
@@ -276,42 +276,65 @@ impl ShardedEngine {
             partitioner,
             live,
             routing,
-            locals,
             memo,
-            slot: Arc::new(ShardedSlot::new(snapshot.clone())),
+            slot: Arc::new(SnapshotSlot::new(snapshot.clone())),
             snapshot,
             durable,
             bounds,
         }
     }
 
-    /// Atomically publishes a successor sharded snapshot and keeps the
-    /// writer's handle in sync — the sharded sibling of the single
-    /// engine's `publish`.
-    fn publish(&mut self, snapshot: ShardedSnapshot) {
-        debug_assert!(snapshot.epoch > self.snapshot.epoch, "epochs are monotone");
-        let arc = Arc::new(snapshot);
-        self.snapshot = arc.clone();
-        self.slot.store(arc);
+    /// The published shard set.
+    fn shard_set(&self) -> &ShardSet {
+        match self.snapshot.backend() {
+            Backend::Sharded(set) => set,
+            _ => unreachable!("a sharded engine only publishes sharded snapshots"),
+        }
     }
 
-    /// Refreshed per-shard snapshot `Arc`s (after shard publications).
-    fn shard_snapshots(&self) -> Vec<Arc<crate::engine::Snapshot>> {
-        self.engines.iter().map(|e| e.snapshot()).collect()
+    /// The shards' current snapshots under the given id maps.
+    fn current_shards(&self, locals: Vec<Arc<Vec<TrajectoryId>>>) -> ShardSet {
+        ShardSet {
+            shards: self.engines.iter().map(|e| e.snapshot()).collect(),
+            locals,
+        }
+    }
+
+    /// Atomically publishes the successor snapshot at the next epoch and
+    /// keeps the writer's handle in sync — the sharded sibling of the
+    /// single engine's `publish`.
+    fn publish(
+        &mut self,
+        users: Arc<UserSet>,
+        live_count: usize,
+        set: ShardSet,
+        tables: FxHashMap<Vec<FacilityId>, Arc<ServedTable>>,
+    ) {
+        let snapshot = Arc::new(Snapshot {
+            epoch: self.snapshot.epoch + 1,
+            users,
+            facilities: self.snapshot.facilities.clone(),
+            model: self.snapshot.model,
+            backend: Arc::new(Backend::Sharded(set)),
+            live_count,
+            tables,
+        });
+        self.snapshot = snapshot.clone();
+        self.slot.store(snapshot);
     }
 
     // -- queries ------------------------------------------------------------
 
-    /// Answers a typed [`Query`] with scatter–gather over the shards,
-    /// memoizing any merged table the query had to build (and the
-    /// per-shard tables behind it, keeping the shard memos in lockstep).
-    /// Bit-identical to [`Engine::run`] on one engine over the union of
-    /// the shards' users.
+    /// Answers a typed [`Query`] on the published snapshot — the same
+    /// `session::execute` every [`Reader`] runs — memoizing any merged
+    /// table the query had to build (and the per-shard tables behind it,
+    /// keeping the shard memos in lockstep). Bit-identical to
+    /// [`Engine::run`] on one engine over the union of the shards' users.
     pub fn run(&mut self, query: Query) -> Result<Answer, EngineError> {
-        let (answer, outcome) = exec::execute(&self.snapshot, &query)?;
+        let (answer, outcome) = session::execute(&self.snapshot, &query)?;
         if let Some(outcome) = outcome {
             match outcome.built {
-                Some(built) => self.absorb(outcome.key, built),
+                Some(table) => self.absorb(outcome.key, table, outcome.parts),
                 None => {
                     self.memo.touch(&outcome.key);
                     for engine in &mut self.engines {
@@ -323,11 +346,16 @@ impl ShardedEngine {
         Ok(answer)
     }
 
-    /// Absorbs a freshly built merged table (and its per-shard halves)
+    /// Absorbs a freshly built merged table (and its per-shard parts)
     /// into the memos — same admission/eviction decisions as the single
     /// engine, applied to the front *and* every shard so their caches
     /// stay key-for-key identical.
-    fn absorb(&mut self, key: Vec<FacilityId>, built: BuiltTables) {
+    fn absorb(
+        &mut self,
+        key: Vec<FacilityId>,
+        merged: Arc<ServedTable>,
+        parts: Vec<Arc<ServedTable>>,
+    ) {
         let is_full = key.len() == self.snapshot.facilities.len();
         let mut evicted = Vec::new();
         if !is_full {
@@ -336,71 +364,41 @@ impl ShardedEngine {
             }
             evicted = self.memo.admit(key.clone());
         }
-        for (s, engine) in self.engines.iter_mut().enumerate() {
-            engine.absorb_table(key.clone(), built.per_shard[s].clone());
+        for (engine, part) in self.engines.iter_mut().zip(parts) {
+            // A shard reopened with its warmed table already holds its
+            // part; re-absorbing would only spend a shard epoch.
+            if engine.cached_table(&key).is_none() {
+                engine.absorb_table(key.clone(), part);
+            }
         }
         let mut tables = self.snapshot.tables.clone();
         for k in &evicted {
             tables.remove(k);
         }
-        tables.insert(key, built.merged);
-        self.publish(ShardedSnapshot {
-            epoch: self.snapshot.epoch + 1,
-            shards: self.shard_snapshots(),
-            locals: self.snapshot.locals.clone(),
-            users: self.snapshot.users.clone(),
-            live_count: self.snapshot.live_count,
-            facilities: self.snapshot.facilities.clone(),
-            model: self.snapshot.model,
+        tables.insert(key, merged);
+        let set = self.current_shards(self.shard_set().locals.clone());
+        self.publish(
+            self.snapshot.users.clone(),
+            self.snapshot.live_count,
+            set,
             tables,
-        });
+        );
     }
 
     /// Pre-builds (and memoizes) the merged [`ServedTable`] over **all**
-    /// registered facilities: warms every shard in parallel, merges, and
-    /// publishes — the sharded sibling of [`Engine::warm`].
+    /// registered facilities — every shard builds its part in parallel —
+    /// and publishes: the sharded sibling of [`Engine::warm`].
     pub fn warm(&mut self) -> &ServedTable {
-        let all: Vec<FacilityId> = self.snapshot.facilities.iter().map(|(id, _)| id).collect();
-        if !self.snapshot.tables.contains_key(&all) {
-            std::thread::scope(|scope| {
-                for engine in self.engines.iter_mut() {
-                    scope.spawn(move || {
-                        engine.warm();
-                    });
-                }
-            });
-            let per_shard: Vec<Arc<ServedTable>> = self
-                .engines
-                .iter()
-                .map(|e| {
-                    let snap = e.snapshot();
-                    snap.tables[&all].clone()
-                })
-                .collect();
-            let mut stats = EvalStats::default();
-            for t in &per_shard {
-                stats.add(&t.stats);
-            }
-            let merged = Arc::new(exec::merge_tables(
+        let snap = &self.snapshot;
+        let all: Vec<FacilityId> = snap.facilities.iter().map(|(id, _)| id).collect();
+        if !snap.tables.contains_key(&all) {
+            let (merged, parts) = self.shard_set().served_table_parts(
+                &snap.users,
+                &snap.model,
+                &snap.facilities,
                 &all,
-                &per_shard,
-                &self.snapshot.locals,
-                &self.snapshot.users,
-                &self.snapshot.model,
-                stats,
-            ));
-            let mut tables = self.snapshot.tables.clone();
-            tables.insert(all.clone(), merged);
-            self.publish(ShardedSnapshot {
-                epoch: self.snapshot.epoch + 1,
-                shards: self.shard_snapshots(),
-                locals: self.snapshot.locals.clone(),
-                users: self.snapshot.users.clone(),
-                live_count: self.snapshot.live_count,
-                facilities: self.snapshot.facilities.clone(),
-                model: self.snapshot.model,
-                tables,
-            });
+            );
+            self.absorb(all.clone(), Arc::new(merged), parts);
         }
         &self.snapshot.tables[&all]
     }
@@ -539,6 +537,7 @@ impl ShardedEngine {
 
         // Gather: fold the batch into the global id space.
         let mut users = UserSet::clone(&self.snapshot.users);
+        let mut locals = self.shard_set().locals.clone();
         let mut pending = pending.into_iter();
         for u in updates {
             match u {
@@ -547,7 +546,9 @@ impl ShardedEngine {
                     outcome.inserted.push(gid);
                     let entry = pending.next().expect("one route per insert");
                     self.routing.push(entry);
-                    self.locals[entry.shard as usize].push(gid);
+                    // Copies a shard's map once per batch that inserts
+                    // into it; untouched shards keep sharing theirs.
+                    Arc::make_mut(&mut locals[entry.shard as usize]).push(gid);
                     self.live.push(true);
                 }
                 Update::Remove(gid) => {
@@ -559,46 +560,19 @@ impl ShardedEngine {
             self.snapshot.live_count + outcome.inserted.len() - outcome.removed;
 
         // Re-merge every memoized front table from the shards' freshly
-        // maintained tables. Stats stay as originally built — exactly the
-        // single engine's incremental-maintenance behavior.
-        let shard_snaps = self.shard_snapshots();
-        let locals: Vec<Arc<Vec<TrajectoryId>>> =
-            self.locals.iter().map(|l| Arc::new(l.clone())).collect();
-        let users = Arc::new(users);
-        let mut tables = FxHashMap::default();
-        for (key, old) in &self.snapshot.tables {
-            let per_shard: Vec<Arc<ServedTable>> = shard_snaps
-                .iter()
-                .map(|snap| match snap.tables.get(key) {
-                    Some(t) => t.clone(),
-                    None => Arc::new(snap.backend().as_index().served_table(
-                        snap.users(),
-                        snap.model(),
-                        snap.facilities(),
-                        key,
-                    )),
-                })
-                .collect();
-            let merged = exec::merge_tables(
-                key,
-                &per_shard,
-                &locals,
-                &users,
-                &self.snapshot.model,
-                old.stats,
-            );
-            tables.insert(key.clone(), Arc::new(merged));
-        }
-        self.publish(ShardedSnapshot {
-            epoch: self.snapshot.epoch + 1,
-            shards: shard_snaps,
-            locals,
-            users,
-            live_count,
-            facilities: self.snapshot.facilities.clone(),
-            model: self.snapshot.model,
-            tables,
-        });
+        // maintained tables (a shard that lost one rebuilds it).
+        let set = self.current_shards(locals);
+        let snap = &self.snapshot;
+        let tables = snap
+            .tables
+            .keys()
+            .map(|key| {
+                let parts = set.shard_tables(&snap.model, &snap.facilities, key);
+                let merged = set.merge(&users, &snap.model, key, &parts);
+                (key.clone(), Arc::new(merged))
+            })
+            .collect();
+        self.publish(Arc::new(users), live_count, set, tables);
         match checkpoint_failed {
             Some(e) => Err(e),
             None => Ok(outcome),
@@ -638,6 +612,21 @@ impl ShardedEngine {
     }
 
     // -- durability ---------------------------------------------------------
+
+    /// Idle-time housekeeping: [`Engine::maintain`] on every shard — each
+    /// harvests its background checkpoint worker and runs its age-based
+    /// checkpoint policy. Every shard is visited even after a failure; the
+    /// first error is the one reported.
+    pub fn maintain(&mut self) -> Result<(), EngineError> {
+        let mut first = Ok(());
+        for engine in &mut self.engines {
+            let result = engine.maintain();
+            if first.is_ok() {
+                first = result;
+            }
+        }
+        first
+    }
 
     /// Checkpoints every shard (fresh snapshot, truncated WAL) and
     /// compacts the routing log down to a single full-placement record.
@@ -703,14 +692,15 @@ impl ShardedEngine {
 
     /// A cloneable handle for serving threads — follows every publication
     /// of this engine.
-    pub fn reader(&self) -> ShardedReader {
-        ShardedReader {
+    pub fn reader(&self) -> Reader {
+        Reader {
             slot: self.slot.clone(),
         }
     }
 
-    /// The currently published sharded snapshot.
-    pub fn snapshot(&self) -> Arc<ShardedSnapshot> {
+    /// The currently published snapshot (its backend is
+    /// [`Backend::Sharded`]).
+    pub fn snapshot(&self) -> Arc<Snapshot> {
         self.snapshot.clone()
     }
 
@@ -796,5 +786,53 @@ impl Engine {
         config: StoreConfig,
     ) -> Result<ShardedEngine, EngineError> {
         recover::open_sharded(dir.as_ref(), config)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::{Scenario, ServiceModel};
+    use tq_geometry::Point;
+    use tq_trajectory::{Facility, FacilitySet, Trajectory};
+
+    /// A sharded front has no single-store image: handing its snapshot's
+    /// parts to the snapshot codec, or to the store-attaching path behind
+    /// `persist_to`, is a typed refusal that leaves no store behind.
+    #[test]
+    fn a_sharded_front_is_refused_by_the_single_store_codec() {
+        let p = |x: f64, y: f64| Point::new(x, y);
+        let sharded = Engine::builder(ServiceModel::new(Scenario::Transit, 2.0))
+            .users(UserSet::from_vec(vec![
+                Trajectory::two_point(p(1.0, 1.0), p(9.0, 1.0)),
+                Trajectory::two_point(p(1.0, 5.0), p(9.0, 5.0)),
+            ]))
+            .facilities(FacilitySet::from_vec(vec![Facility::new(vec![
+                p(1.0, 2.0),
+                p(9.0, 2.0),
+            ])]))
+            .bounds(Rect::new(p(0.0, 0.0), p(10.0, 10.0)))
+            .shards(2)
+            .build_sharded()
+            .unwrap();
+        let front = sharded.snapshot();
+        let mut engine = Engine::new(
+            front.users().clone(),
+            front.facilities().clone(),
+            *front.model(),
+            front.backend().clone(),
+        );
+        assert!(matches!(
+            crate::persist::encode_engine(&engine),
+            Err(EngineError::Sharded(_))
+        ));
+
+        let dir = std::env::temp_dir().join(format!("tq-sharded-codec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let refused = crate::persist::attach_new_store(&mut engine, &dir, StoreConfig::default());
+        assert!(matches!(refused, Err(EngineError::Sharded(_))), "{refused:?}");
+        assert!(engine.persistence().is_none());
+        assert!(Engine::open(&dir).is_err(), "no single-store image was written");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -171,7 +171,6 @@ pub(crate) fn open_sharded(dir: &Path, config: StoreConfig) -> Result<ShardedEng
         }
     }
 
-    let live_count = live.iter().filter(|&&l| l).count();
     let memo = TableMemo::new(engines[0].subset_table_capacity());
     let bounds = engines[0].tree().map(|t| t.bounds());
     let log = routing::open_log(&routing_path, summary.valid_bytes, config.sync)
@@ -189,7 +188,6 @@ pub(crate) fn open_sharded(dir: &Path, config: StoreConfig) -> Result<ShardedEng
         engines,
         partitioner,
         live,
-        live_count,
         routing_map,
         locals,
         users,

@@ -52,9 +52,9 @@
 //! durable.
 
 use crate::dynamic::{BatchOutcome, Update};
-use crate::engine::{session, Answer, BackendKind, Engine, EngineError, Explain, Query, Reader};
+use crate::engine::{Engine, EngineError, Explain, Reader};
 use crate::persist::PersistStatus;
-use crate::sharding::{ShardedEngine, ShardedReader};
+use crate::sharding::ShardedEngine;
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError, Sender, SyncSender};
 use std::sync::OnceLock;
@@ -106,92 +106,6 @@ fn note_apply(updates: usize, queued: Duration, wall: Duration, epoch: Option<u6
     });
 }
 
-/// A point-in-time description of a read plane — what a daemon's
-/// hello/status frames report about the engine behind them.
-#[derive(Debug, Clone, Copy)]
-pub struct PlaneInfo {
-    /// The latest published epoch.
-    pub epoch: u64,
-    /// The backend kind (homogeneous across shards on a sharded plane).
-    pub backend: BackendKind,
-    /// Total trajectories, tombstones included.
-    pub users: usize,
-    /// Live (not removed) trajectories.
-    pub live_users: usize,
-    /// Registered candidate facilities.
-    pub facilities: usize,
-}
-
-/// The lock-free read plane paired with a [`ControlPlane`]: a cloneable
-/// handle that answers queries off the latest published snapshot from
-/// any number of threads, never touching the writer. Implemented by
-/// [`Reader`] (single engine) and [`ShardedReader`] (scatter–gather
-/// front end) with identical semantics.
-pub trait ReadPlane: Clone + Send + Sync + 'static {
-    /// The latest published epoch.
-    fn latest_epoch(&self) -> u64;
-    /// Takes the latest snapshot (an O(1) pointer clone) and answers
-    /// `query` on it. The snapshot-grab time is recorded into the
-    /// answer's [`Explain::queued`](crate::engine::Explain::queued).
-    fn query(&self, query: Query) -> Result<Answer, EngineError>;
-    /// Describes the latest snapshot for status reporting.
-    fn info(&self) -> PlaneInfo;
-}
-
-impl ReadPlane for Reader {
-    fn latest_epoch(&self) -> u64 {
-        self.epoch()
-    }
-
-    fn query(&self, query: Query) -> Result<Answer, EngineError> {
-        let arrived = Instant::now();
-        let snapshot = self.snapshot();
-        let queued = arrived.elapsed();
-        let mut answer = snapshot.run(query)?;
-        answer.explain.queued = queued;
-        session::note_slow_query(&answer.explain);
-        Ok(answer)
-    }
-
-    fn info(&self) -> PlaneInfo {
-        let snap = self.snapshot();
-        PlaneInfo {
-            epoch: snap.epoch(),
-            backend: snap.backend().kind(),
-            users: snap.users().len(),
-            live_users: snap.live_users(),
-            facilities: snap.facilities().len(),
-        }
-    }
-}
-
-impl ReadPlane for ShardedReader {
-    fn latest_epoch(&self) -> u64 {
-        self.epoch()
-    }
-
-    fn query(&self, query: Query) -> Result<Answer, EngineError> {
-        let arrived = Instant::now();
-        let snapshot = self.snapshot();
-        let queued = arrived.elapsed();
-        let mut answer = snapshot.run(query)?;
-        answer.explain.queued = queued;
-        session::note_slow_query(&answer.explain);
-        Ok(answer)
-    }
-
-    fn info(&self) -> PlaneInfo {
-        let snap = self.snapshot();
-        PlaneInfo {
-            epoch: snap.epoch(),
-            backend: snap.backend_kind(),
-            users: snap.users().len(),
-            live_users: snap.live_users(),
-            facilities: snap.facilities().len(),
-        }
-    }
-}
-
 /// A single-writer control plane a [`WriterHub`] can own: the engine-side
 /// contract of the funnel — all-or-nothing batch application, epoch
 /// publication, and explicit checkpoints. Implemented by [`Engine`] and
@@ -199,11 +113,9 @@ impl ReadPlane for ShardedReader {
 /// serves both (`tqd --shards N` funnels batches through the exact same
 /// hub).
 pub trait ControlPlane: Send + 'static {
-    /// The read-plane handle paired with this control plane.
-    type Reader: ReadPlane;
     /// A cloneable read handle following every publication of this
     /// engine. Clone before moving the engine into a [`WriterHub`].
-    fn reader(&self) -> Self::Reader;
+    fn reader(&self) -> Reader;
     /// Applies one update batch, all-or-nothing ([`Engine::apply`]).
     fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchOutcome, EngineError>;
     /// The current published epoch.
@@ -234,8 +146,6 @@ pub trait ControlPlane: Send + 'static {
 }
 
 impl ControlPlane for Engine {
-    type Reader = Reader;
-
     fn reader(&self) -> Reader {
         Engine::reader(self)
     }
@@ -270,9 +180,7 @@ impl ControlPlane for Engine {
 }
 
 impl ControlPlane for ShardedEngine {
-    type Reader = ShardedReader;
-
-    fn reader(&self) -> ShardedReader {
+    fn reader(&self) -> Reader {
         ShardedEngine::reader(self)
     }
 
@@ -290,6 +198,10 @@ impl ControlPlane for ShardedEngine {
 
     fn write_checkpoint(&mut self) -> Result<PathBuf, EngineError> {
         self.checkpoint()
+    }
+
+    fn maintain(&mut self) -> Result<(), EngineError> {
+        ShardedEngine::maintain(self)
     }
 }
 

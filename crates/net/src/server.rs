@@ -18,7 +18,7 @@
 //!                                                               └──────────────┘
 //! ```
 //!
-//! Every connection thread holds its own read plane ([`ReadPlane`])
+//! Every connection thread holds its own [`Reader`]
 //! and answers queries from the latest published snapshot with zero
 //! locks and zero engine mutation. Update batches — from any connection
 //! — funnel through one [`WriterHub`] channel to the thread that owns
@@ -50,8 +50,8 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tq_core::engine::{Engine, EngineError};
-use tq_core::writer::{ControlPlane, ReadPlane, WriterError, WriterHandle, WriterHub, WriterOptions};
+use tq_core::engine::{Engine, EngineError, Reader};
+use tq_core::writer::{ControlPlane, WriterError, WriterHandle, WriterHub, WriterOptions};
 use tq_repl::proto::{ReplAck, ReplHello, ReplRecord, SnapshotChunk, REPL_PROTOCOL_VERSION};
 use tq_repl::{plan_catch_up, CatchUpPlan, ReplicationHub};
 use tq_store::codec::Reader as CodecReader;
@@ -153,8 +153,8 @@ impl Server {
     ///
     /// Generic over the [`ControlPlane`]: a plain [`Engine`] or a
     /// [`ShardedEngine`](tq_core::sharding::ShardedEngine) front end —
-    /// connections serve off whichever read plane the engine pairs with,
-    /// and the wire protocol is identical either way.
+    /// connections serve off the engine's [`Reader`], and the wire
+    /// protocol is identical either way.
     pub fn start<C: ControlPlane>(
         engine: C,
         addr: &str,
@@ -429,10 +429,10 @@ fn note_frame_out(body_len: usize) {
 /// One connection, start to finish. Never propagates a panic: request
 /// handling runs under `catch_unwind` and a caught panic closes the
 /// connection with a typed error after bumping the panic counter.
-fn serve_connection<R: ReadPlane>(
+fn serve_connection(
     mut stream: TcpStream,
     shared: &Shared,
-    reader: &R,
+    reader: &Reader,
     writer: &WriterHandle,
     repl: Option<&ReplState>,
     config: &ServerConfig,
@@ -532,11 +532,11 @@ enum Step {
     ShutDown(Response),
 }
 
-fn handle_frame<R: ReadPlane>(
+fn handle_frame(
     kind: u8,
     body: bytes::Bytes,
     shared: &Shared,
-    reader: &R,
+    reader: &Reader,
     writer: &WriterHandle,
     repl: Option<&ReplState>,
     greeted: &mut bool,
@@ -639,14 +639,14 @@ fn handle_frame<R: ReadPlane>(
             })),
         },
         Request::Shutdown => Step::ShutDown(Response::Ack(Ack {
-            epoch: reader.latest_epoch(),
+            epoch: reader.epoch(),
             outcome: None,
             wal_batches: shared.wal_batches.load(Ordering::Relaxed),
         })),
     }
 }
 
-fn server_info<R: ReadPlane>(reader: &R, shared: &Shared) -> ServerInfo {
+fn server_info(reader: &Reader, shared: &Shared) -> ServerInfo {
     let info = reader.info();
     ServerInfo {
         version: PROTOCOL_VERSION,

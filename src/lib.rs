@@ -104,8 +104,8 @@
 #[doc = include_str!("../docs/GUIDE.md")]
 pub struct GuideDoctests;
 
-pub use tq_baseline as baseline;
 pub use tq_core as core;
+pub use tq_core::baseline;
 pub use tq_datagen as datagen;
 pub use tq_geometry as geometry;
 pub use tq_net as net;
@@ -118,24 +118,16 @@ pub use tq_trajectory as trajectory;
 /// The most common imports in one place.
 pub mod prelude {
     pub use tq_core::baseline::BaselineIndex;
-    pub use tq_core::dynamic::{
-        DynamicConfig, DynamicEngine, Update, UpdateError, UpdateStats,
-    };
+    pub use tq_core::dynamic::{Update, UpdateError, UpdateStats};
     pub use tq_core::engine::{
         Algorithm, Answer, Backend, BackendKind, CacheStatus, Engine, EngineBuilder,
-        EngineError, Explain, Index, Query, QueryResult, Reader, Snapshot,
+        EngineError, Explain, Index, PlaneInfo, Query, QueryResult, Reader, Snapshot,
     };
     pub use tq_core::persist::{PersistStatus, StoreConfig, SyncPolicy};
-    pub use tq_core::sharding::{
-        GainCombiner, Partitioner, ShardedEngine, ShardedReader, ShardedSnapshot,
-    };
-    pub use tq_core::writer::{
-        BatchAck, ControlPlane, PlaneInfo, ReadPlane, WriterError, WriterHandle, WriterHub,
-    };
+    pub use tq_core::sharding::{Partitioner, ShardSet, ShardedEngine};
+    pub use tq_core::writer::{BatchAck, ControlPlane, WriterError, WriterHandle, WriterHub};
     pub use tq_net::{Client, ConnectConfig, NetError, Server, ServerConfig, ServerHandle};
-    pub use tq_core::serve::{
-        serve, serve_sharded, ClientStats, ServeConfig, ServeReport, Workload,
-    };
+    pub use tq_core::serve::{serve, ClientStats, ServeConfig, ServeReport, Workload};
     pub use tq_core::maxcov::{exact, genetic, greedy, two_step_greedy, GeneticConfig, ServedTable};
     pub use tq_core::{
         evaluate_masks, evaluate_service, top_k_facilities, Placement, PointMask, Scenario,

@@ -5,7 +5,10 @@
 //! staging are rebased onto the committed checkpoint and survive reopen.
 
 use tq::core::persist::BG_CHECKPOINT_DELAY_MS;
+use tq::core::writer::WriterOptions;
 use tq::prelude::*;
+use tq::store::manifest::ShardManifest;
+use tq::store::snapshot_files;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -176,4 +179,61 @@ fn sharded_engines_inherit_background_checkpoints() {
     let mut reopened = Engine::open_sharded(&scratch.0).unwrap();
     let top = reopened.run(Query::top_k(3)).unwrap();
     assert_eq!(top.ranked(), want.ranked());
+}
+
+#[test]
+fn an_idle_sharded_writer_runs_every_shards_housekeeping() {
+    let (trace, routes) = workload(73);
+    let scratch = Scratch::new("sharded-idle");
+
+    // Threshold checkpoints off; only the age policy may compact.
+    let config = StoreConfig {
+        checkpoint_every: 0,
+        checkpoint_max_age: Some(Duration::from_millis(50)),
+        ..StoreConfig::default()
+    };
+    let sharded = builder(&trace, &routes)
+        .shards(2)
+        .persist_with(&scratch.0, config)
+        .build_sharded()
+        .unwrap();
+    let images = || -> usize {
+        (0..2)
+            .map(|s| {
+                let dir = ShardManifest::shard_dir(&scratch.0, s);
+                snapshot_files(&dir).unwrap().len()
+            })
+            .sum()
+    };
+    let images_before = images();
+
+    let hub = WriterHub::spawn_with(
+        sharded,
+        WriterOptions {
+            tick: Some(Duration::from_millis(20)),
+            ..WriterOptions::default()
+        },
+    );
+    let ack = hub
+        .handle()
+        .apply(trace.update_batches(8)[0].clone())
+        .unwrap();
+    // One pending WAL batch per shard the batch touched.
+    assert!(ack.wal_batches >= 1, "no threshold checkpoint may fire");
+
+    // The idle tick must reach every shard: each one holding an aging WAL
+    // tail writes a fresh image.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while images() < images_before + ack.wal_batches as usize {
+        assert!(
+            Instant::now() < deadline,
+            "the idle tick never ran the shards' age-based checkpoints"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let engine = hub.stop(false).unwrap();
+    for s in 0..engine.shard_count() {
+        let status = engine.shard(s).persistence().unwrap();
+        assert_eq!(status.wal_batches, 0, "shard {s} kept its WAL tail");
+    }
 }

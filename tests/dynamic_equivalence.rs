@@ -1,5 +1,5 @@
-//! Dynamic-engine equivalence: after **every** batch of a seeded
-//! arrival/expiry event trace, the [`DynamicEngine`]'s kMaxRRST top-k and
+//! Dynamic-workload equivalence: after **every** batch of a seeded
+//! arrival/expiry event trace, a warmed [`Engine`]'s kMaxRRST top-k and
 //! greedy MaxkCovRST answers must be **bit-identical** to building a fresh
 //! TQ-tree over the live trajectories and querying it from scratch.
 //!
@@ -8,7 +8,7 @@
 //! all three value semantics cross the incremental path, with ≥ 200 events
 //! per preset.
 
-use tq::core::dynamic::{DynamicConfig, DynamicEngine, Update};
+use tq::core::engine::DEFAULT_REBUILD_FRACTION;
 use tq::core::maxcov::{greedy, ServedTable};
 use tq::core::top_k_facilities;
 use tq::datagen::{bus_routes, stream_scenario, StreamEvent, StreamKind};
@@ -19,6 +19,34 @@ const BATCH: usize = 40;
 const INITIAL: usize = 1_200;
 const K: usize = 10;
 const COVER_K: usize = 4;
+
+/// A TQ-tree engine with its full-facility table warmed, so every batch
+/// maintains that table incrementally.
+fn warmed_engine(
+    trace: &StreamScenario,
+    routes: &FacilitySet,
+    model: ServiceModel,
+    tree_cfg: TqTreeConfig,
+    rebuild_fraction: f64,
+) -> Engine {
+    let mut engine = Engine::builder(model)
+        .users(trace.initial.clone())
+        .facilities(routes.clone())
+        .tree_config(tree_cfg)
+        .bounds(trace.bounds)
+        .rebuild_fraction(rebuild_fraction)
+        .build()
+        .expect("generated traces start inside their bounds");
+    engine.warm();
+    engine
+}
+
+/// The maintained table's top-k: a memo hit, never a fresh search.
+fn maintained_top_k(engine: &mut Engine, k: usize) -> Vec<(u32, f64)> {
+    let answer = engine.run(Query::top_k(k)).unwrap();
+    assert!(answer.explain.cache.is_hit());
+    answer.ranked().to_vec()
+}
 
 /// Runs one preset end to end, checking both query families after every
 /// batch.
@@ -33,16 +61,8 @@ fn check_preset(
     let routes = bus_routes(&city, 32, 8, 14_000.0, seed ^ 0xFACE);
     let model = ServiceModel::new(scenario, 200.0);
     let tree_cfg = TqTreeConfig::z_order(placement).with_beta(32);
-    let mut engine = DynamicEngine::new(
-        trace.initial.clone(),
-        routes.clone(),
-        model,
-        DynamicConfig {
-            tree: tree_cfg,
-            ..DynamicConfig::default()
-        },
-        trace.bounds,
-    );
+    let mut engine =
+        warmed_engine(&trace, &routes, model, tree_cfg, DEFAULT_REBUILD_FRACTION);
 
     let mut batches_checked = 0;
     for chunk in trace.events.chunks(BATCH) {
@@ -62,7 +82,7 @@ fn check_preset(
         let fresh_tree = TqTree::build_with_bounds(&live, tree_cfg, trace.bounds);
 
         // kMaxRRST: identical facility ranking, bit-identical values.
-        let got = engine.top_k(K);
+        let got = maintained_top_k(&mut engine, K);
         let want = top_k_facilities(&fresh_tree, &live, &model, &routes, K).ranked;
         assert_eq!(got.len(), want.len());
         for (i, ((gid, gv), (wid, wv))) in got.iter().zip(&want).enumerate() {
@@ -76,7 +96,7 @@ fn check_preset(
 
         // Greedy MaxkCovRST: identical chosen set, bit-identical combined
         // value, identical served-user count.
-        let got_cov = engine.greedy_cover(COVER_K);
+        let got_cov = engine.run(Query::max_cov(COVER_K)).unwrap().cover().clone();
         let fresh_table = ServedTable::build(&fresh_tree, &live, &model, &routes);
         let want_cov = greedy(&fresh_table, &live, &model, COVER_K);
         assert_eq!(got_cov.chosen, want_cov.chosen, "{kind:?}/{scenario:?}");
@@ -91,7 +111,7 @@ fn check_preset(
 
         // The maintained per-facility masks equal the fresh ones up to the
         // monotone id compaction: compare sizes and values.
-        let table = engine.served_table();
+        let table = engine.full_table().expect("warmed at construction");
         assert_eq!(table.values.len(), fresh_table.values.len());
         for (fi, (gv, wv)) in table.values.iter().zip(&fresh_table.values).enumerate() {
             assert_eq!(
@@ -150,16 +170,7 @@ fn rebuild_fallback_bit_identical() {
     let routes = bus_routes(&city, 24, 8, 14_000.0, 45);
     let model = ServiceModel::new(Scenario::Transit, 200.0);
     let tree_cfg = TqTreeConfig::default().with_beta(32);
-    let mut engine = DynamicEngine::new(
-        trace.initial.clone(),
-        routes.clone(),
-        model,
-        DynamicConfig {
-            tree: tree_cfg,
-            rebuild_fraction: 0.0,
-        },
-        trace.bounds,
-    );
+    let mut engine = warmed_engine(&trace, &routes, model, tree_cfg, 0.0);
     for chunk in trace.events.chunks(50) {
         let updates: Vec<Update> = chunk
             .iter()
@@ -177,7 +188,7 @@ fn rebuild_fallback_bit_identical() {
     let live = engine.live_set();
     let fresh_tree = TqTree::build_with_bounds(&live, tree_cfg, trace.bounds);
     let want = top_k_facilities(&fresh_tree, &live, &model, &routes, 8).ranked;
-    for ((gid, gv), (wid, wv)) in engine.top_k(8).iter().zip(&want) {
+    for ((gid, gv), (wid, wv)) in maintained_top_k(&mut engine, 8).iter().zip(&want) {
         assert_eq!(gid, wid);
         assert_eq!(gv.to_bits(), wv.to_bits());
     }

@@ -585,7 +585,7 @@ fn ingest_survives_every_truncation_and_seeded_bit_flips_without_panicking() {
         }
     }
     // The final full-length round left the engine fully caught up.
-    assert_eq!(reader.latest_epoch(), base_epoch + batches.len() as u64);
+    assert_eq!(reader.epoch(), base_epoch + batches.len() as u64);
 
     // Seeded single-bit flips: the CRC (or the header validation) must
     // reject every one as a typed error — never a panic, never a
@@ -616,7 +616,7 @@ fn ingest_survives_every_truncation_and_seeded_bit_flips_without_panicking() {
         flipped_errors > 300,
         "almost every bit flip must surface a typed error (got {flipped_errors}/400)"
     );
-    assert_eq!(reader.latest_epoch(), base_epoch + batches.len() as u64);
+    assert_eq!(reader.epoch(), base_epoch + batches.len() as u64);
 
     let final_engine = hub.stop(false).unwrap();
     assert_eq!(final_engine.epoch(), base_epoch + batches.len() as u64);

@@ -56,17 +56,32 @@ fn baseline_builder(
 struct Fingerprint {
     top_k: Vec<(u32, u64)>,
     top_cache: String,
+    /// Restricted-candidate top-k: never memoized, so on the sharded front
+    /// it always takes the sub-`FacilitySet` search through
+    /// `ShardSet::top_k` (dense sub-ids mapped back to real ids).
+    top_subset: Vec<(u32, u64)>,
+    top_subset_cache: String,
     covers: Vec<(Vec<u32>, u64, usize, String)>,
+}
+
+/// A non-contiguous subset of the workload's 8 routes.
+const SUBSET: [u32; 5] = [1, 2, 4, 5, 7];
+
+fn ranked_bits(answer: &Answer) -> Vec<(u32, u64)> {
+    answer
+        .ranked()
+        .iter()
+        .map(|(id, v)| (*id, v.to_bits()))
+        .collect()
 }
 
 fn fingerprint(run: &mut dyn FnMut(Query) -> Answer, full: bool) -> Fingerprint {
     let top = run(Query::top_k(3));
-    let top_k = top
-        .ranked()
-        .iter()
-        .map(|(id, v)| (*id, v.to_bits()))
-        .collect();
+    let top_k = ranked_bits(&top);
     let top_cache = format!("{:?}", top.explain.cache);
+    let sub = run(Query::top_k(3).candidates(&SUBSET));
+    let top_subset = ranked_bits(&sub);
+    let top_subset_cache = format!("{:?}", sub.explain.cache);
     let mut algorithms = vec![Algorithm::Greedy];
     if full {
         algorithms.extend([Algorithm::TwoStep, Algorithm::Genetic, Algorithm::Exact]);
@@ -87,6 +102,8 @@ fn fingerprint(run: &mut dyn FnMut(Query) -> Answer, full: bool) -> Fingerprint 
     Fingerprint {
         top_k,
         top_cache,
+        top_subset,
+        top_subset_cache,
         covers,
     }
 }
@@ -165,7 +182,7 @@ fn sharded_tracks_single_engine_through_update_batches() {
             let single = tree_builder(model, &trace, &routes).build().unwrap();
             let base = tree_builder(model, &trace, &routes);
             let base = if spatial { base.partition_by_space() } else { base };
-            for shards in [2usize, 4] {
+            for shards in SHARD_COUNTS {
                 let mut sharded = base.clone().shards(shards).build_sharded().unwrap();
                 let mut reference = single.clone();
                 for (i, batch) in batches.iter().enumerate() {
@@ -293,6 +310,25 @@ fn subset_memo_eviction_stays_in_lockstep() {
 // Read plane: snapshots and readers answer identically, without memoizing
 // ---------------------------------------------------------------------------
 
+/// Read-plane answers through the one [`Reader`] type both engines hand
+/// out: every query is a memo miss built and discarded on the snapshot,
+/// and none of them publishes.
+fn read_plane_misses(reader: &Reader, queries: &[Query]) -> Vec<(Vec<u32>, u64, usize)> {
+    let epoch = reader.epoch();
+    let answers = queries
+        .iter()
+        .map(|q| {
+            let answer = reader.query(q.clone()).unwrap();
+            assert_eq!(answer.explain.cache, CacheStatus::Miss);
+            assert_eq!(answer.explain.snapshot_epoch, epoch);
+            let c = answer.cover();
+            (c.chosen.clone(), c.value.to_bits(), c.users_served)
+        })
+        .collect();
+    assert_eq!(reader.epoch(), epoch, "read-plane misses never publish");
+    answers
+}
+
 #[test]
 fn sharded_snapshots_and_readers_answer_like_single_engine_snapshots() {
     let model = ServiceModel::new(Scenario::Transit, 220.0);
@@ -304,6 +340,16 @@ fn sharded_snapshots_and_readers_answer_like_single_engine_snapshots() {
         .unwrap();
     let reader = sharded.reader();
     assert_eq!(reader.epoch(), 0);
+
+    let misses = [
+        Query::max_cov(2).algorithm(Algorithm::Greedy),
+        Query::max_cov(2).algorithm(Algorithm::TwoStep).k_prime(4),
+        Query::max_cov(2).candidates(&SUBSET),
+    ];
+    assert_eq!(
+        read_plane_misses(&reader, &misses),
+        read_plane_misses(&single.reader(), &misses)
+    );
 
     let q = || Query::max_cov(2).algorithm(Algorithm::Greedy);
     let want = single.snapshot().run(q()).unwrap();
