@@ -130,7 +130,7 @@ mod tests {
     fn cache_returns_same_data() {
         let a = nyt(2_000);
         let b = nyt(2_000);
-        assert_eq!(a.as_slice(), b.as_slice());
+        assert_eq!(a, b);
         assert_eq!(a.len(), 2_000);
     }
 

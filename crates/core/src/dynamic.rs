@@ -108,8 +108,9 @@ pub enum Update {
     /// next dense [`TrajectoryId`].
     Insert(Trajectory),
     /// The trajectory with this id expires: it is unindexed and stops
-    /// contributing to every query answer. Ids are never reused; the
-    /// trajectory stays in the [`UserSet`](tq_trajectory::UserSet) as an id-stable tombstone.
+    /// contributing to every query answer. Ids are never reused: the id
+    /// stays assigned in the [`UserSet`](tq_trajectory::UserSet), retired,
+    /// and the trajectory's points are given up.
     Remove(TrajectoryId),
 }
 

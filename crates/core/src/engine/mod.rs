@@ -15,9 +15,11 @@
 //!   publication slot, answers queries itself ([`Engine::run`], which
 //!   additionally memoizes the tables queries build), and applies
 //!   streaming [`Update`] batches ([`Engine::apply`]) by copy-on-write:
-//!   only the touched facilities' tables (and the mutated index/user set)
-//!   are cloned and patched, everything else is `Arc`-shared with the
-//!   previous epoch, and the new snapshot is published atomically.
+//!   the user set, the TQ-tree and the table memo are persistent
+//!   structures, so a batch copies the tail user chunk, the q-node headers
+//!   and β-runs on the paths it writes and the touched facilities' tables;
+//!   everything else is `Arc`-shared with the previous epoch, and the new
+//!   snapshot is published atomically.
 //!   Readers never wait out a batch — they keep answering on the epoch
 //!   they hold, and old epochs drain via `Arc` refcounts.
 //! * **[`Reader`]** — the cloneable, `Send + Sync` handle serving threads
@@ -162,7 +164,8 @@ use crate::sharding::ShardSet;
 use crate::topk::{top_k_facilities, TopKOutcome};
 use crate::tqtree::{TqTree, TqTreeConfig};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 use tq_geometry::Rect;
 use tq_trajectory::{Facility, FacilityId, FacilitySet, TrajectoryId, UserSet};
 
@@ -657,6 +660,47 @@ impl EngineBuilder {
 }
 
 // ---------------------------------------------------------------------------
+// Write-path attribution
+// ---------------------------------------------------------------------------
+
+const STAGE_COPY: usize = 0;
+const STAGE_TREE: usize = 1;
+const STAGE_TABLES: usize = 2;
+const STAGE_PUBLISH: usize = 3;
+
+/// Registry handles for `tq_engine_apply_stage_ns{stage=…}`: where one
+/// batch's apply time goes — the opening clones, the index mutation, the
+/// table maintenance, and the publication (which includes releasing the
+/// previous epoch).
+fn apply_stage_metrics() -> &'static [&'static tq_obs::Histogram; 4] {
+    static M: OnceLock<[&'static tq_obs::Histogram; 4]> = OnceLock::new();
+    M.get_or_init(|| {
+        ["copy", "tree", "tables", "publish"]
+            .map(|stage| tq_obs::histogram("tq_engine_apply_stage_ns", &format!("stage=\"{stage}\"")))
+    })
+}
+
+/// The stopwatch of one apply. Each [`StageClock::lap`] books the time
+/// since the previous one to a stage, so the stages partition the span
+/// from `start` to the last lap exactly. Reads no clock while recording is
+/// off.
+struct StageClock(Option<Instant>);
+
+impl StageClock {
+    fn start() -> StageClock {
+        StageClock(tq_obs::enabled().then(Instant::now))
+    }
+
+    fn lap(&mut self, stage: usize) {
+        if let Some(last) = self.0 {
+            let now = Instant::now();
+            apply_stage_metrics()[stage].record(now - last);
+            self.0 = Some(now);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Engine (the control plane)
 // ---------------------------------------------------------------------------
 
@@ -676,8 +720,6 @@ pub struct Engine {
     /// update-invalidation test. Facilities are immutable, so this never
     /// changes after construction.
     embrs: Vec<Rect>,
-    /// Liveness per trajectory id (`false` = removed tombstone).
-    live: Vec<bool>,
     rebuild_fraction: f64,
     /// Subset-table recency/capacity bookkeeping (the tables themselves
     /// are frozen in the snapshot).
@@ -702,7 +744,6 @@ impl Clone for Engine {
             slot: Arc::new(SnapshotSlot::new(self.snapshot.clone())),
             snapshot: self.snapshot.clone(),
             embrs: self.embrs.clone(),
-            live: self.live.clone(),
             rebuild_fraction: self.rebuild_fraction,
             memo: self.memo.clone(),
             stats: self.stats,
@@ -738,21 +779,18 @@ impl Engine {
         backend: Backend,
     ) -> Engine {
         let embrs = facilities.iter().map(|(_, f)| f.embr(model.psi)).collect();
-        let live_count = users.len();
         let snapshot = Arc::new(Snapshot {
             epoch: 0,
             users: Arc::new(users),
             facilities: Arc::new(facilities),
             model,
             backend: Arc::new(backend),
-            live_count,
             tables: FxHashMap::default(),
         });
         Engine {
             slot: Arc::new(SnapshotSlot::new(snapshot.clone())),
             snapshot,
             embrs,
-            live: vec![true; live_count],
             rebuild_fraction: DEFAULT_REBUILD_FRACTION,
             memo: TableMemo::new(DEFAULT_SUBSET_TABLES),
             stats: UpdateStats::default(),
@@ -762,22 +800,20 @@ impl Engine {
 
     /// Reassembles an engine from decoded snapshot state — the
     /// deserialization counterpart of [`Engine::new`] that additionally
-    /// restores the live bitmap, the publication epoch and the builder
-    /// knobs. Only [`crate::persist`] calls this.
+    /// restores the publication epoch and the builder knobs (liveness
+    /// arrives inside `users`). Only [`crate::persist`] calls this.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_restored(
         users: UserSet,
         facilities: FacilitySet,
         model: ServiceModel,
         backend: Backend,
-        live: Vec<bool>,
         epoch: u64,
         rebuild_fraction: f64,
         subset_tables: usize,
         full_table: Option<ServedTable>,
     ) -> Engine {
         let embrs = facilities.iter().map(|(_, f)| f.embr(model.psi)).collect();
-        let live_count = live.iter().filter(|&&l| l).count();
         let mut tables = FxHashMap::default();
         if let Some(table) = full_table {
             tables.insert(table.ids.clone(), Arc::new(table));
@@ -788,14 +824,12 @@ impl Engine {
             facilities: Arc::new(facilities),
             model,
             backend: Arc::new(backend),
-            live_count,
             tables,
         });
         Engine {
             slot: Arc::new(SnapshotSlot::new(snapshot.clone())),
             snapshot,
             embrs,
-            live,
             rebuild_fraction,
             memo: TableMemo::new(subset_tables),
             stats: UpdateStats::default(),
@@ -897,7 +931,6 @@ impl Engine {
             facilities: self.snapshot.facilities.clone(),
             model: self.snapshot.model,
             backend: self.snapshot.backend.clone(),
-            live_count: self.snapshot.live_count,
             tables,
         });
     }
@@ -941,8 +974,10 @@ impl Engine {
     // -- updates ------------------------------------------------------------
 
     /// Applies one batch of updates and publishes the resulting snapshot:
-    /// validates the batch, copy-on-write-mutates the index and user set,
-    /// brings **every memoized table** back in sync incrementally
+    /// validates the batch, copy-on-write-mutates the index and user set
+    /// (copying the runs, q-node headers and tail user chunk the batch
+    /// touches — not the state), brings **every memoized table** back in
+    /// sync incrementally
     /// (untouched tables stay `Arc`-shared with the previous epoch at zero
     /// cost; touched ones are cloned and patched / re-evaluated per
     /// facility, as counted by [`Engine::stats`]), then swaps the new
@@ -1033,19 +1068,25 @@ impl Engine {
     /// The mutation half of [`Engine::apply`]: the batch must already be
     /// validated (and WAL-logged when durable); publishes at `new_epoch`.
     fn apply_validated(&mut self, updates: &[Update], new_epoch: u64) -> BatchOutcome {
+        let mut clock = StageClock::start();
         // Copy-on-write of the mutable halves: readers may still hold the
-        // published snapshot, so the index and user set are cloned, mutated,
-        // and re-published — never mutated in place.
+        // published snapshot, so it is never mutated in place. The user
+        // set, the tree and the table memo are persistent — these three
+        // clones copy a chunk directory, a node-pointer arena and a map of
+        // `Arc`s, and the batch below then copies only what it writes (the
+        // tail user chunk, the q-node headers on its paths, the runs it
+        // rewrites, the tables it touches).
         let mut users = UserSet::clone(&self.snapshot.users);
         let Backend::TqTree(tree_ref) = &*self.snapshot.backend else {
             unreachable!("checked above");
         };
         let mut tree = tree_ref.clone();
+        let mut tables = self.snapshot.tables.clone();
+        clock.lap(STAGE_COPY);
 
         // Phase 1: mutate the index, collecting the delta list
         // (id, inserted?, trajectory MBR) per event, in order.
         let mut outcome = BatchOutcome::default();
-        let mut live_count = self.snapshot.live_count;
         let mut deltas: Vec<(TrajectoryId, bool, Rect)> = Vec::with_capacity(updates.len());
         for u in updates {
             match u {
@@ -1054,22 +1095,22 @@ impl Engine {
                     let id = tree
                         .insert(&mut users, t.clone())
                         .expect("validated against the bounds");
-                    self.live.push(true);
-                    live_count += 1;
                     self.stats.inserts += 1;
                     outcome.inserted.push(id);
                     deltas.push((id, true, mbr));
                 }
                 Update::Remove(id) => {
                     tree.remove(&users, *id).expect("validated as live");
-                    self.live[*id as usize] = false;
-                    live_count -= 1;
                     self.stats.removes += 1;
                     outcome.removed += 1;
                     deltas.push((*id, false, users.get(*id).mbr()));
+                    // The index and the delta list were the last readers
+                    // of its points: the id stays, the trajectory goes.
+                    users.retire(*id);
                 }
             }
         }
+        clock.lap(STAGE_TREE);
 
         // Phases 2+3 per memoized table: classify its candidates by the
         // EMBR∩delta-MBR rule. A table none of whose facilities intersect
@@ -1078,9 +1119,8 @@ impl Engine {
         // facilities) or rebuilt through the tree (heavy ones, fanned out
         // across threads).
         let rebuild_threshold =
-            (self.rebuild_fraction * live_count.max(1) as f64).ceil() as usize;
+            (self.rebuild_fraction * users.present().max(1) as f64).ceil() as usize;
         let placement = tree.config().placement;
-        let mut tables = self.snapshot.tables.clone();
         for shared in tables.values_mut() {
             let relevant: Vec<Vec<&(TrajectoryId, bool, Rect)>> = shared
                 .ids
@@ -1116,6 +1156,11 @@ impl Engine {
                 let facility = self.snapshot.facilities.get(fid);
                 let mut changed = false;
                 for &&(id, inserted, _) in relevant {
+                    if inserted && users.is_retired(id) {
+                        // Arrived and expired within this batch: its
+                        // removal delta would only undo the mask again.
+                        continue;
+                    }
                     if inserted {
                         self.stats.patch_evaluations += 1;
                         if let Some(mask) = session::delta_mask(
@@ -1159,15 +1204,19 @@ impl Engine {
             *shared = Arc::new(table);
         }
         self.stats.batches += 1;
+        clock.lap(STAGE_TABLES);
+        // Replacing the writer's handle releases the previous epoch: with
+        // no reader still on it, that frees exactly what this batch
+        // replaced — everything else lives on in the new snapshot.
         self.publish(Snapshot {
             epoch: new_epoch,
             users: Arc::new(users),
             facilities: self.snapshot.facilities.clone(),
             model: self.snapshot.model,
             backend: Arc::new(Backend::TqTree(tree)),
-            live_count,
             tables,
         });
+        clock.lap(STAGE_PUBLISH);
         outcome
     }
 
@@ -1190,9 +1239,8 @@ impl Engine {
                     next_id += 1;
                 }
                 Update::Remove(id) => {
-                    let preexisting = (*id as usize) < self.live.len();
-                    let live = if preexisting {
-                        self.live[*id as usize]
+                    let live = if (*id as usize) < self.snapshot.users.len() {
+                        !self.snapshot.users.is_retired(*id)
                     } else {
                         // Inserted earlier in this batch?
                         *id < next_id
@@ -1208,8 +1256,8 @@ impl Engine {
 
     // -- accessors ----------------------------------------------------------
 
-    /// The registered user trajectories (including removed tombstones; see
-    /// [`Engine::is_live`]).
+    /// The registered user trajectories: every id ever assigned, the
+    /// removed ones retired (see [`Engine::is_live`]).
     pub fn users(&self) -> &UserSet {
         self.snapshot.users()
     }
@@ -1241,16 +1289,13 @@ impl Engine {
 
     /// Whether trajectory `id` is currently live.
     pub fn is_live(&self, id: TrajectoryId) -> bool {
-        (id as usize) < self.live.len() && self.live[id as usize]
+        let users = &self.snapshot.users;
+        (id as usize) < users.len() && !users.is_retired(id)
     }
 
     /// Ids of the live trajectories, ascending.
     pub fn live_ids(&self) -> impl Iterator<Item = TrajectoryId> + '_ {
-        self.live
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| **l)
-            .map(|(i, _)| i as TrajectoryId)
+        self.snapshot.users.iter().map(|(id, _)| id)
     }
 
     /// A compacted [`UserSet`] of just the live trajectories, in ascending
@@ -1261,11 +1306,7 @@ impl Engine {
     /// canonical (ascending-id) value summation order — and with it the
     /// bit-identity guarantee — intact across the two id spaces.
     pub fn live_set(&self) -> UserSet {
-        UserSet::from_vec(
-            self.live_ids()
-                .map(|id| self.snapshot.users.get(id).clone())
-                .collect(),
-        )
+        UserSet::from_vec(self.snapshot.users.iter().map(|(_, t)| t.clone()).collect())
     }
 
     /// Accumulated update-work counters across every applied batch, summed
@@ -1279,6 +1320,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::service::Scenario;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use tq_geometry::Point;
     use tq_trajectory::Trajectory;
 
@@ -1652,6 +1694,158 @@ mod tests {
         assert!(e.full_table().is_some());
         let hit = e.run(Query::max_cov(1)).unwrap();
         assert!(hit.explain.cache.is_hit());
+    }
+
+    /// A seeded city for the persistence tests: `n` random two-point trips
+    /// and 8 three-stop routes in a 1000 × 1000 square, unwarmed so every
+    /// query walks the tree and the user set.
+    fn random_engine(n: usize, rng: &mut StdRng) -> Engine {
+        let users = UserSet::from_vec((0..n).map(|_| random_trip(rng)).collect());
+        let facilities = FacilitySet::from_vec(
+            (0..8)
+                .map(|_| Facility::new((0..3).map(|_| random_point(rng)).collect()))
+                .collect(),
+        );
+        Engine::builder(ServiceModel::new(Scenario::Transit, 60.0))
+            .users(users)
+            .facilities(facilities)
+            .bounds(Rect::new(p(0.0, 0.0), p(1000.0, 1000.0)))
+            .build()
+            .unwrap()
+    }
+
+    fn random_point(rng: &mut StdRng) -> Point {
+        p(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0))
+    }
+
+    fn random_trip(rng: &mut StdRng) -> Trajectory {
+        Trajectory::two_point(random_point(rng), random_point(rng))
+    }
+
+    /// `inserts` arrivals and the expiry of `removes` distinct live ids.
+    fn random_batch(e: &Engine, inserts: usize, removes: usize, rng: &mut StdRng) -> Vec<Update> {
+        let mut live: Vec<TrajectoryId> = e.live_ids().collect();
+        let mut batch: Vec<Update> =
+            (0..inserts).map(|_| Update::Insert(random_trip(rng))).collect();
+        for _ in 0..removes {
+            batch.push(Update::Remove(live.swap_remove(rng.gen_range(0..live.len()))));
+        }
+        batch
+    }
+
+    /// Every id and value bit of a tree-walking top-k and a greedy cover.
+    fn answer_bits(snapshot: &Snapshot) -> Vec<u64> {
+        let top = snapshot.run(Query::top_k(5)).unwrap();
+        let cover = snapshot
+            .run(Query::max_cov(3).algorithm(Algorithm::Greedy))
+            .unwrap();
+        let mut bits: Vec<u64> = top
+            .ranked()
+            .iter()
+            .flat_map(|(id, v)| [u64::from(*id), v.to_bits()])
+            .collect();
+        bits.extend(cover.cover().chosen.iter().map(|id| u64::from(*id)));
+        bits.push(cover.cover().value.to_bits());
+        bits
+    }
+
+    #[test]
+    fn a_held_epoch_is_untouched_by_later_batches() {
+        let rng = &mut StdRng::seed_from_u64(0xE90C);
+        let mut e = random_engine(3_000, rng);
+        // A little history first, so epoch e already shares with its past.
+        for _ in 0..3 {
+            let batch = random_batch(&e, 30, 20, rng);
+            e.apply(&batch).unwrap();
+        }
+        let held = e.snapshot();
+        let recorded = answer_bits(&held);
+        for _ in 0..20 {
+            let batch = random_batch(&e, 25, 25, rng);
+            e.apply(&batch).unwrap();
+        }
+        assert_eq!(e.epoch(), held.epoch() + 20);
+        held.tree()
+            .unwrap()
+            .validate_with_count(held.users(), held.live_users())
+            .expect("the held epoch's tree is intact");
+        assert_eq!(answer_bits(&held), recorded, "a later batch wrote into a held epoch");
+        // What the later batches removed is retired in their epochs only.
+        let expired: Vec<TrajectoryId> = (0..held.users().len() as TrajectoryId)
+            .filter(|id| !held.users().is_retired(*id) && !e.is_live(*id))
+            .collect();
+        assert!(!expired.is_empty(), "setup: the batches removed something the epoch held");
+        for id in expired {
+            assert!(held.users().try_get(id).is_some() && e.users().try_get(id).is_none());
+        }
+        assert_ne!(answer_bits(&e.snapshot()), recorded, "setup: the batches changed answers");
+    }
+
+    /// Between two consecutive epochs: the user slots at a different
+    /// address, the q-nodes that are a different allocation although their
+    /// content did not change, and — over the nodes whose shape did not
+    /// change — the runs the new epoch does not share with the old one.
+    fn unshared(old: &Snapshot, new: &Snapshot) -> (Vec<TrajectoryId>, usize, usize) {
+        let moved_users = old
+            .users()
+            .iter()
+            .filter(|(id, t)| new.users().try_get(*id).is_some_and(|n| !std::ptr::eq(*t, n)))
+            .map(|(id, _)| id)
+            .collect();
+        let (a, b) = (old.tree().unwrap(), new.tree().unwrap());
+        let mut copied_unchanged = 0;
+        let mut fresh_runs = 0;
+        for (x, y) in a.nodes.iter().zip(&b.nodes) {
+            if Arc::ptr_eq(x, y) || x.dead != y.dead || x.children != y.children {
+                continue;
+            }
+            if x.sub == y.sub && x.list.len() == y.list.len() {
+                copied_unchanged += 1;
+            }
+            fresh_runs += y
+                .list
+                .items()
+                .arcs()
+                .iter()
+                .filter(|run| !x.list.items().arcs().iter().any(|r| Arc::ptr_eq(r, run)))
+                .count();
+        }
+        (moved_users, copied_unchanged, fresh_runs)
+    }
+
+    #[test]
+    fn a_batch_copies_what_it_touches_not_the_state() {
+        let rng = &mut StdRng::seed_from_u64(0x5AAE);
+        let mut e = random_engine(20_000, rng);
+        // All arrivals, then all expiries: every node on a touched path then
+        // changes its `sub` count, so "copied yet unchanged" can only mean
+        // "copied without being touched".
+        for (inserts, removes) in [(50, 0), (0, 50)] {
+            let old = e.snapshot();
+            let batch = random_batch(&e, inserts, removes, rng);
+            e.apply(&batch).unwrap();
+            let new = e.snapshot();
+            let (moved_users, copied_unchanged, fresh_runs) = unshared(&old, &new);
+            // Only the tail chunk may move: a suffix, and a small one.
+            let n = old.users().len();
+            assert!(moved_users.len() * 10 < n, "{} of {n} users copied", moved_users.len());
+            assert!(
+                moved_users.iter().rev().zip((0..n as u32).rev()).all(|(a, b)| *a == b),
+                "copied users are not the tail"
+            );
+            assert_eq!(moved_users.is_empty(), inserts == 0, "removals copy no users");
+            assert_eq!(copied_unchanged, 0, "q-nodes off the touched paths were copied");
+            assert!(fresh_runs <= 2 * batch.len(), "{fresh_runs} runs rewritten by 50 events");
+            let shared_nodes = old
+                .tree()
+                .unwrap()
+                .nodes
+                .iter()
+                .zip(&new.tree().unwrap().nodes)
+                .filter(|(x, y)| Arc::ptr_eq(x, y))
+                .count();
+            assert!(shared_nodes > 0, "setup: some node is off every touched path");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use tq_trajectory::{FacilityId, FacilitySet, UserSet};
 pub struct Snapshot {
     /// Publication sequence number, strictly increasing per engine.
     pub(crate) epoch: u64,
-    /// The indexed trajectories (including removed tombstones).
+    /// The indexed trajectories; removed ones are retired ids in the set.
     pub(crate) users: Arc<UserSet>,
     /// The candidate facilities (immutable for the engine's lifetime).
     pub(crate) facilities: Arc<FacilitySet>,
@@ -46,8 +46,6 @@ pub struct Snapshot {
     pub(crate) model: ServiceModel,
     /// The backend index over exactly `users`.
     pub(crate) backend: Arc<Backend>,
-    /// Live (inserted and not yet removed) trajectory count.
-    pub(crate) live_count: usize,
     /// The frozen [`ServedTable`] memo, keyed by sorted candidate id list.
     /// Individual tables are `Arc`-shared across epochs: an update batch
     /// clones and patches only the tables whose facilities it touches.
@@ -74,8 +72,8 @@ impl Snapshot {
         self.epoch
     }
 
-    /// The trajectories this snapshot indexes (including removed
-    /// tombstones — see [`Snapshot::live_users`]).
+    /// The trajectories this snapshot indexes; a removed trajectory is a
+    /// retired id of the set (see [`Snapshot::live_users`]).
     pub fn users(&self) -> &UserSet {
         &self.users
     }
@@ -106,7 +104,7 @@ impl Snapshot {
     /// Number of live (inserted and not yet removed) trajectories at this
     /// epoch.
     pub fn live_users(&self) -> usize {
-        self.live_count
+        self.users.present()
     }
 
     /// The frozen memoized table for a candidate set, if this snapshot
@@ -162,7 +160,7 @@ pub struct PlaneInfo {
     pub epoch: u64,
     /// The backend kind (homogeneous across the shards of a sharded engine).
     pub backend: BackendKind,
-    /// Total trajectories, tombstones included.
+    /// Trajectory ids assigned, retired (removed) ones included.
     pub users: usize,
     /// Live (not removed) trajectories.
     pub live_users: usize,

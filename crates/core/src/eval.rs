@@ -24,7 +24,9 @@
 
 use crate::fasthash::FxHashMap;
 use crate::service::{PointMask, Scenario, ServiceModel};
-use crate::tqtree::{NodeId, NodeList, Placement, ReduceMode, ReduceScratch, StoredItem, TqTree, ROOT};
+use crate::tqtree::{
+    NodeId, NodeList, Placement, ReduceMode, ReduceScratch, Runs, StoredItem, TqTree, ROOT,
+};
 use tq_geometry::{Point, Rect};
 use tq_trajectory::{Facility, TrajectoryId, UserSet};
 
@@ -271,19 +273,21 @@ impl EvalState {
     fn scan_list(
         &mut self,
         ctx: &EvalCtx<'_>,
-        items: &[StoredItem],
+        items: &Runs,
         stops: &[Point],
         comp_embr: &Rect,
     ) {
         let psi = ctx.model.psi;
-        for it in items {
-            if !comp_embr.intersects(&it.mbr)
-                || !stops.iter().any(|s| it.mbr.within_of_point(s, psi))
-            {
-                self.stats.items_pruned += 1;
-                continue;
+        for run in items.slices() {
+            for it in run {
+                if !comp_embr.intersects(&it.mbr)
+                    || !stops.iter().any(|s| it.mbr.within_of_point(s, psi))
+                {
+                    self.stats.items_pruned += 1;
+                    continue;
+                }
+                self.test_item(ctx, it, stops, comp_embr);
             }
-            self.test_item(ctx, it, stops, comp_embr);
         }
     }
 

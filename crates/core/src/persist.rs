@@ -6,9 +6,10 @@
 //! A persisted engine writes two artifacts into its store directory (see
 //! [`tq_store::store`] for the file layout):
 //!
-//! * **snapshots** — the full engine state at one epoch: every user
-//!   trajectory (including removed tombstones, so ids stay stable), the
-//!   live bitmap, the facilities, the [`ServiceModel`], the backend build
+//! * **snapshots** — the full engine state at one epoch: one entry per
+//!   trajectory id ever assigned (the points of a live trajectory, an
+//!   empty list for a removed one — ids stay stable and the image follows
+//!   the live set, not the history), the live bitmap, the facilities, the [`ServiceModel`], the backend build
 //!   parameters, and — for the TQ-tree backend — the **entire node arena**
 //!   (every slot, free list, z-partitions, assigned z-ids), so
 //!   [`Engine::open`] is `O(read)`, not `O(rebuild)`;
@@ -370,7 +371,10 @@ fn get_facility_blob(
             )));
         }
         next = traj + 1;
-        let mask = get_mask(&mut r, users.get(traj as u32).len())?;
+        let t = users
+            .try_get(traj as u32)
+            .ok_or_else(|| corrupt(format!("mask entry names removed trajectory {traj}")))?;
+        let mask = get_mask(&mut r, t.len())?;
         map.insert(traj as u32, mask);
     }
     r.finish()?;
@@ -428,41 +432,32 @@ fn get_table(
 /// Encodes the engine's full durable state and the snapshot header
 /// metadata describing it.
 pub(crate) fn encode_engine(engine: &Engine) -> Result<(SnapshotMeta, BytesMut), EngineError> {
-    let live: Vec<bool> = (0..engine.users().len() as u32)
-        .map(|id| engine.is_live(id))
-        .collect();
-    encode_parts(
-        engine.users(),
-        engine.facilities(),
-        *engine.model(),
-        &live,
-        engine.backend(),
-        engine.full_table(),
-        engine.epoch(),
+    encode_snapshot(
+        &engine.snapshot(),
         engine.rebuild_fraction(),
         engine.subset_table_capacity(),
     )
 }
 
-/// [`encode_engine`] over loose parts, so a background checkpoint can
-/// encode from a published immutable [`Snapshot`] (plus the scalars a
-/// snapshot does not carry) without borrowing the engine.
+/// [`encode_engine`] over a published immutable [`Snapshot`] (plus the
+/// scalars a snapshot does not carry), so a background checkpoint can
+/// encode without borrowing the engine.
 ///
 /// A [`Backend::Sharded`] front has no single-store image — its durable
 /// form is one store per shard plus the routing log — so it is refused
 /// with [`EngineError::Sharded`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_parts(
-    users: &UserSet,
-    facilities: &FacilitySet,
-    model: ServiceModel,
-    live: &[bool],
-    backend: &Backend,
-    full_table: Option<&ServedTable>,
-    epoch: u64,
+pub(crate) fn encode_snapshot(
+    snapshot: &Snapshot,
     rebuild_fraction: f64,
     subset_capacity: usize,
 ) -> Result<(SnapshotMeta, BytesMut), EngineError> {
+    let (users, facilities, model) = (snapshot.users(), snapshot.facilities(), *snapshot.model());
+    let (backend, full_table, epoch) = (snapshot.backend(), snapshot.full_table(), snapshot.epoch());
+    // The live bitmap is the complement of the user set's retired ids; it
+    // stays in the image as the ground truth a decoder checks against.
+    let live: Vec<bool> = (0..users.len() as TrajectoryId)
+        .map(|id| !users.is_retired(id))
+        .collect();
     let mut buf = BytesMut::with_capacity(64 + users.total_points() * 16);
     buf.put_u8(scenario_tag(model.scenario));
     buf.put_f64_le(model.psi);
@@ -470,7 +465,7 @@ pub(crate) fn encode_parts(
     buf.put_u64_le(subset_capacity as u64);
     buf.put_u64_le(epoch);
     users.encode(&mut buf);
-    encode_bitmap(live, &mut buf);
+    encode_bitmap(&live, &mut buf);
     facilities.encode(&mut buf);
 
     let (backend_tag, tree_nodes, tree_items) = match backend {
@@ -507,7 +502,7 @@ pub(crate) fn encode_parts(
         backend: backend_tag,
         scenario: scenario_tag(model.scenario),
         users: users.len() as u64,
-        live: live.iter().filter(|&&l| l).count() as u64,
+        live: users.present() as u64,
         facilities: facilities.len() as u64,
         tree_nodes,
         tree_items,
@@ -541,7 +536,7 @@ pub(crate) fn decode_engine(
             file.meta.epoch
         )));
     }
-    let users = UserSet::decode(&mut r)?;
+    let mut users = UserSet::decode(&mut r)?;
     let live = decode_bitmap(&mut r)?;
     if live.len() != users.len() {
         return Err(corrupt(format!(
@@ -550,20 +545,25 @@ pub(crate) fn decode_engine(
             users.len()
         )));
     }
+    // The bitmap is the ground truth of liveness. A version-1 body still
+    // carries the points of its removed trajectories: give them up here,
+    // as the apply that removed them does today.
+    for (id, &live) in live.iter().enumerate() {
+        let id = id as TrajectoryId;
+        if !live {
+            users.retire(id);
+        } else if users.is_retired(id) {
+            return Err(corrupt(format!("live trajectory {id} has no points")));
+        }
+    }
     let facilities = FacilitySet::decode(&mut r)?;
 
     let backend = match r.u8()? {
         BACKEND_TQTREE => {
             let tree = tqtree::persist::decode_tree(&mut r, &users)?;
             let expected: usize = match tree.config().placement {
-                Placement::TwoPoint | Placement::FullTrajectory => {
-                    live.iter().filter(|&&l| l).count()
-                }
-                Placement::Segmented => users
-                    .iter()
-                    .filter(|(id, _)| live[*id as usize])
-                    .map(|(_, t)| t.num_segments())
-                    .sum(),
+                Placement::TwoPoint | Placement::FullTrajectory => users.present(),
+                Placement::Segmented => users.total_segments(),
             };
             if tree.item_count() != expected {
                 return Err(corrupt(format!(
@@ -598,7 +598,6 @@ pub(crate) fn decode_engine(
         facilities,
         model,
         backend,
-        live,
         epoch,
         rebuild_fraction,
         subset_tables,
@@ -781,9 +780,6 @@ impl Engine {
     /// lock briefly to rename it live and rebase the WAL.
     fn spawn_background_checkpoint(&mut self) {
         let snapshot: Arc<Snapshot> = self.snapshot();
-        let live: Vec<bool> = (0..snapshot.users().len() as u32)
-            .map(|id| self.is_live(id))
-            .collect();
         let rebuild_fraction = self.rebuild_fraction();
         let subset_capacity = self.subset_table_capacity();
         let durable = self.durable.as_mut().expect("caller checked durability");
@@ -792,18 +788,8 @@ impl Engine {
         let handle = std::thread::Builder::new()
             .name("tq-checkpoint".into())
             .spawn(move || {
-                let (meta, body) = encode_parts(
-                    snapshot.users(),
-                    snapshot.facilities(),
-                    *snapshot.model(),
-                    &live,
-                    snapshot.backend(),
-                    snapshot.full_table(),
-                    snapshot.epoch(),
-                    rebuild_fraction,
-                    subset_capacity,
-                )
-                .map_err(|e| StoreError::Corrupt(e.to_string()))?;
+                let (meta, body) = encode_snapshot(&snapshot, rebuild_fraction, subset_capacity)
+                    .map_err(|e| StoreError::Corrupt(e.to_string()))?;
                 let delay = BG_CHECKPOINT_DELAY_MS.load(Ordering::Relaxed);
                 if delay > 0 {
                     std::thread::sleep(std::time::Duration::from_millis(delay));

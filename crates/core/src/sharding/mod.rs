@@ -103,8 +103,6 @@ pub(crate) struct ShardedDurable {
 pub struct ShardedEngine {
     engines: Vec<Engine>,
     partitioner: Partitioner,
-    /// Global liveness, id-aligned with `routing`.
-    live: Vec<bool>,
     /// Global id → owning shard + local id (the inverse, local → global,
     /// is published in the snapshot's [`ShardSet`]).
     routing: Vec<RouteEntry>,
@@ -233,11 +231,10 @@ impl ShardedEngine {
             engines.push(sb.build()?);
         }
 
-        let live = vec![true; users.len()];
         let memo = TableMemo::new(template.subset_tables);
         let bounds = if is_tree { template.bounds } else { None };
         Ok(ShardedEngine::assemble(
-            engines, partitioner, live, routing, locals, users, memo, durable, bounds,
+            engines, partitioner, routing, locals, users, memo, durable, bounds,
         ))
     }
 
@@ -247,7 +244,6 @@ impl ShardedEngine {
     pub(crate) fn assemble(
         engines: Vec<Engine>,
         partitioner: Partitioner,
-        live: Vec<bool>,
         routing: Vec<RouteEntry>,
         locals: Vec<Vec<TrajectoryId>>,
         users: UserSet,
@@ -268,13 +264,11 @@ impl ShardedEngine {
                 shards: engines.iter().map(|e| e.snapshot()).collect(),
                 locals: locals.into_iter().map(Arc::new).collect(),
             })),
-            live_count: live.iter().filter(|&&l| l).count(),
             tables: FxHashMap::default(),
         });
         ShardedEngine {
             engines,
             partitioner,
-            live,
             routing,
             memo,
             slot: Arc::new(SnapshotSlot::new(snapshot.clone())),
@@ -306,7 +300,6 @@ impl ShardedEngine {
     fn publish(
         &mut self,
         users: Arc<UserSet>,
-        live_count: usize,
         set: ShardSet,
         tables: FxHashMap<Vec<FacilityId>, Arc<ServedTable>>,
     ) {
@@ -316,7 +309,6 @@ impl ShardedEngine {
             facilities: self.snapshot.facilities.clone(),
             model: self.snapshot.model,
             backend: Arc::new(Backend::Sharded(set)),
-            live_count,
             tables,
         });
         self.snapshot = snapshot.clone();
@@ -377,12 +369,7 @@ impl ShardedEngine {
         }
         tables.insert(key, merged);
         let set = self.current_shards(self.shard_set().locals.clone());
-        self.publish(
-            self.snapshot.users.clone(),
-            self.snapshot.live_count,
-            set,
-            tables,
-        );
+        self.publish(self.snapshot.users.clone(), set, tables);
     }
 
     /// Pre-builds (and memoizes) the merged [`ServedTable`] over **all**
@@ -549,15 +536,10 @@ impl ShardedEngine {
                     // Copies a shard's map once per batch that inserts
                     // into it; untouched shards keep sharing theirs.
                     Arc::make_mut(&mut locals[entry.shard as usize]).push(gid);
-                    self.live.push(true);
                 }
-                Update::Remove(gid) => {
-                    self.live[*gid as usize] = false;
-                }
+                Update::Remove(gid) => users.retire(*gid),
             }
         }
-        let live_count =
-            self.snapshot.live_count + outcome.inserted.len() - outcome.removed;
 
         // Re-merge every memoized front table from the shards' freshly
         // maintained tables (a shard that lost one rebuilds it).
@@ -572,7 +554,7 @@ impl ShardedEngine {
                 (key.clone(), Arc::new(merged))
             })
             .collect();
-        self.publish(Arc::new(users), live_count, set, tables);
+        self.publish(Arc::new(users), set, tables);
         match checkpoint_failed {
             Some(e) => Err(e),
             None => Ok(outcome),
@@ -596,9 +578,8 @@ impl ShardedEngine {
                     next_id += 1;
                 }
                 Update::Remove(id) => {
-                    let preexisting = (*id as usize) < self.live.len();
-                    let live = if preexisting {
-                        self.live[*id as usize]
+                    let live = if (*id as usize) < self.snapshot.users.len() {
+                        !self.snapshot.users.is_retired(*id)
                     } else {
                         *id < next_id
                     };
@@ -667,13 +648,11 @@ impl ShardedEngine {
         let durable = self.durable.as_mut().expect("checked durable");
         let record = RoutingRecord {
             seq: 0,
-            events: self
-                .routing
-                .iter()
-                .zip(&self.live)
-                .map(|(entry, &alive)| RouteEvent::Insert {
+            events: (0..)
+                .zip(&self.routing)
+                .map(|(gid, entry)| RouteEvent::Insert {
                     shard: entry.shard,
-                    alive,
+                    alive: !self.snapshot.users.is_retired(gid),
                 })
                 .collect(),
             stamps: vec![0; self.engines.len()],
@@ -726,33 +705,27 @@ impl ShardedEngine {
         &self.partitioner
     }
 
-    /// The global user set, including removed tombstones.
+    /// The global user set: every id ever assigned, removed ones retired.
     pub fn users(&self) -> &UserSet {
         self.snapshot.users()
     }
 
     /// Number of live (not removed) trajectories across all shards.
     pub fn live_users(&self) -> usize {
-        self.snapshot.live_count
+        self.snapshot.live_users()
     }
 
     /// Whether global trajectory `id` is currently live.
     pub fn is_live(&self, id: TrajectoryId) -> bool {
-        (id as usize) < self.live.len() && self.live[id as usize]
+        let users = &self.snapshot.users;
+        (id as usize) < users.len() && !users.is_retired(id)
     }
 
     /// A compacted [`UserSet`] of the live trajectories in ascending
     /// global id order — the set a single-engine cross-check should
     /// index (see [`Engine::live_set`]).
     pub fn live_set(&self) -> UserSet {
-        UserSet::from_vec(
-            self.live
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| **l)
-                .map(|(id, _)| self.snapshot.users.get(id as TrajectoryId).clone())
-                .collect(),
-        )
+        UserSet::from_vec(self.snapshot.users.iter().map(|(_, t)| t.clone()).collect())
     }
 
     /// The memoized merged table for a (sorted) candidate set, if any.

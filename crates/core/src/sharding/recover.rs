@@ -88,7 +88,6 @@ pub(crate) fn open_sharded(dir: &Path, config: StoreConfig) -> Result<ShardedEng
     let epochs: Vec<u64> = engines.iter().map(|e| e.epoch()).collect();
     let mut lossy = summary.tail_note.is_some();
     let mut users = UserSet::new();
-    let mut live: Vec<bool> = Vec::new();
     let mut routing_map: Vec<RouteEntry> = Vec::new();
     let mut locals: Vec<Vec<TrajectoryId>> = vec![Vec::new(); shards];
     // Shard owners in the *original* id space (holes included), so a
@@ -130,14 +129,17 @@ pub(crate) fn open_sharded(dir: &Path, config: StoreConfig) -> Result<ShardedEng
                                  log survived ahead of the shard's WAL"
                             )));
                         }
-                        let gid = users.push(engines[s].users().get(lid).clone());
+                        // The shard's recovered state is the liveness
+                        // ground truth (it already accounts for every
+                        // materialized remove and, in rebased logs, for
+                        // the `alive: false` flag): a trajectory it has
+                        // removed comes back as the retired id it is.
+                        let gid = match engines[s].users().try_get(lid) {
+                            Some(t) => users.push(t.clone()),
+                            None => users.push_retired(),
+                        };
                         locals[s].push(gid);
                         routing_map.push(RouteEntry { shard, lid });
-                        // The shard's recovered tombstones are the
-                        // liveness ground truth (they already account for
-                        // every materialized remove and, in rebased logs,
-                        // for the `alive: false` flag).
-                        live.push(engines[s].is_live(lid));
                     } else {
                         lossy = true;
                     }
@@ -187,7 +189,6 @@ pub(crate) fn open_sharded(dir: &Path, config: StoreConfig) -> Result<ShardedEng
     let mut engine = ShardedEngine::assemble(
         engines,
         partitioner,
-        live,
         routing_map,
         locals,
         users,

@@ -8,10 +8,11 @@
 //! is bucketed per the configured [`Storage`].
 
 use super::item::StoredItem;
-use super::{NodeId, NodeList, Placement, QNode, Storage, TqTree, TqTreeConfig, ZList};
+use super::{NodeId, NodeList, Placement, QNode, Runs, Storage, TqTree, TqTreeConfig, ZList};
 use crate::service::ServiceBounds;
+use std::sync::Arc;
 use tq_geometry::Rect;
-use tq_trajectory::UserSet;
+use tq_trajectory::{Trajectory, TrajectoryId, UserSet};
 
 impl TqTree {
     /// Builds a TQ-tree over `users` with the given configuration.
@@ -55,16 +56,9 @@ impl TqTree {
         users: &UserSet,
     ) -> NodeId {
         // Reserve the slot first (reusing a reclaimed one when available) so
-        // the node exists while its children are built.
-        let id = self.alloc_node(QNode {
-            rect,
-            depth,
-            children: [None; 4],
-            list: NodeList::Basic(Vec::new()),
-            own: ServiceBounds::ZERO,
-            sub: ServiceBounds::ZERO,
-            dead: false,
-        });
+        // a parent's id precedes its children's; the node itself is written
+        // once they are built.
+        let id = self.alloc_node(QNode::tombstone(rect, depth));
 
         let (own_items, child_items) =
             if items.len() <= self.config.beta || depth >= self.config.max_depth {
@@ -100,25 +94,27 @@ impl TqTree {
             }
         }
 
-        let list = self.make_list(rect, own_items);
-        let node = &mut self.nodes[id as usize];
-        node.children = children;
-        node.list = list;
-        node.own = own_bounds;
-        node.sub = sub;
+        self.nodes[id as usize] = Arc::new(QNode {
+            rect,
+            depth,
+            children,
+            list: make_list(&self.config, rect, own_items),
+            own: own_bounds,
+            sub,
+            dead: false,
+        });
         id
     }
+}
 
-    /// Buckets `items` per the configured storage flavour.
-    pub(crate) fn make_list(&self, rect: Rect, mut items: Vec<StoredItem>) -> NodeList {
-        match self.config.storage {
-            Storage::Basic => {
-                // Keep a deterministic order for reproducibility.
-                items.sort_unstable_by_key(|it| (it.traj, it.seg));
-                NodeList::Basic(items)
-            }
-            Storage::ZOrder => NodeList::Z(ZList::build(rect, items, self.config.beta)),
+/// Buckets `items` per the configured storage flavour.
+pub(crate) fn make_list(config: &TqTreeConfig, rect: Rect, mut items: Vec<StoredItem>) -> NodeList {
+    match config.storage {
+        Storage::Basic => {
+            items.sort_unstable_by_key(|it| (it.traj, it.seg));
+            NodeList::Basic(Runs::from_sorted(&items, config.beta))
         }
+        Storage::ZOrder => NodeList::Z(ZList::build(rect, items, config.beta)),
     }
 }
 
@@ -129,27 +125,34 @@ fn pad(r: &Rect) -> Rect {
     r.expand(eps)
 }
 
+/// The stored items of one trajectory under a placement policy: one per
+/// segment for [`Placement::Segmented`], one otherwise.
+pub(crate) fn items_of(
+    id: TrajectoryId,
+    t: &Trajectory,
+    placement: Placement,
+) -> impl Iterator<Item = StoredItem> + '_ {
+    let n = match placement {
+        Placement::Segmented => t.num_segments(),
+        Placement::TwoPoint | Placement::FullTrajectory => 1,
+    };
+    (0..n).map(move |seg| match placement {
+        Placement::TwoPoint => StoredItem::two_point(id, t),
+        Placement::FullTrajectory => StoredItem::whole(id, t),
+        Placement::Segmented => StoredItem::segment(id, t, seg),
+    })
+}
+
 /// Materializes the stored items for a placement policy.
 pub(crate) fn make_items(users: &UserSet, placement: Placement) -> Vec<StoredItem> {
-    match placement {
-        Placement::TwoPoint => users
-            .iter()
-            .map(|(id, t)| StoredItem::two_point(id, t))
-            .collect(),
-        Placement::FullTrajectory => users
-            .iter()
-            .map(|(id, t)| StoredItem::whole(id, t))
-            .collect(),
-        Placement::Segmented => {
-            let mut items = Vec::with_capacity(users.total_segments());
-            for (id, t) in users.iter() {
-                for seg in 0..t.num_segments() {
-                    items.push(StoredItem::segment(id, t, seg));
-                }
-            }
-            items
-        }
+    let mut items = Vec::with_capacity(match placement {
+        Placement::Segmented => users.total_segments(),
+        Placement::TwoPoint | Placement::FullTrajectory => users.present(),
+    });
+    for (id, t) in users.iter() {
+        items.extend(items_of(id, t, placement));
     }
+    items
 }
 
 /// Which child quadrant wholly contains `item`, or `None` when the item

@@ -7,10 +7,16 @@
 //!
 //! * **z-ordered nodes** take the incremental path — z-ids are assigned from
 //!   the node's *existing* [`super::ZPartition`]s (`O(log n)` lookups) and
-//!   the item is spliced into the sorted list. The paper instead reassigns
-//!   z-ids within the affected β-sized z-node; both keep `zReduce` exact,
-//!   ours trades a temporarily over-full z-cell (marginally weaker pruning
-//!   until the node is next rebuilt) for zero repartitioning bookkeeping.
+//!   the one run of ≤ 2β items the item sorts into is rewritten
+//!   ([`super::Runs`]). The paper instead reassigns z-ids within the
+//!   affected β-sized z-node; both keep `zReduce` exact and both cost
+//!   `O(β)`, ours trades a temporarily over-full z-cell (marginally weaker
+//!   pruning until the node is next rebuilt) for zero repartitioning
+//!   bookkeeping.
+//! * **Copy-on-write** — every write goes through [`TqTree::node_mut`], so
+//!   a tree that shares its nodes with a clone (the engine's previous
+//!   epoch) copies the headers on the routing path and the rewritten run,
+//!   nothing else.
 //! * **Leaves that outgrow β** split exactly like during construction
 //!   (`maybe_split_leaf` reuses the build recursion), so an incrementally
 //!   grown tree has the same canonical shape a bulk build over the same
@@ -28,7 +34,7 @@
 //! the root rectangle is fixed at build time, so callers growing the space
 //! should rebuild (`TqTree::build_with_bounds` with a larger rect).
 
-use super::build::{child_quadrant, make_items};
+use super::build::{child_quadrant, items_of, make_list};
 use super::item::StoredItem;
 use super::{NodeId, NodeList, QNode, TqTree, ROOT};
 use crate::service::ServiceBounds;
@@ -69,12 +75,7 @@ impl TqTree {
             return Err(InsertError::OutOfBounds);
         }
         let id = users.push(t);
-        let single = UserSet::from_vec(vec![users.get(id).clone()]);
-        let mut items = make_items(&single, self.config().placement);
-        for it in &mut items {
-            it.traj = id; // make_items numbered within `single`
-        }
-        for it in items {
+        for it in items_of(id, users.get(id), self.config().placement) {
             self.insert_item(it, users);
         }
         Ok(id)
@@ -85,69 +86,53 @@ impl TqTree {
         let mut cur = ROOT;
         loop {
             // Every node on the path gains the item in its subtree bound.
-            self.nodes[cur as usize].sub.add(&bounds);
-            let node = &self.nodes[cur as usize];
+            let node = self.node_mut(cur);
+            node.sub.add(&bounds);
             if node.is_leaf() {
                 self.store_at(cur, item, &bounds);
                 self.maybe_split_leaf(cur, users);
                 return;
             }
-            match child_quadrant(&node.rect, &item) {
+            let Some(qi) = child_quadrant(&node.rect, &item) else {
+                self.store_at(cur, item, &bounds);
+                return;
+            };
+            match node.children[qi] {
+                Some(child) => cur = child,
                 None => {
-                    self.store_at(cur, item, &bounds);
+                    // Create a fresh leaf for this quadrant (reusing a
+                    // reclaimed arena slot when one is free).
+                    let child_rect = node.rect.quadrant(Quadrant::from_index(qi as u8));
+                    let depth = node.depth + 1;
+                    let child_id = self.alloc_node(QNode {
+                        rect: child_rect,
+                        depth,
+                        children: [None; 4],
+                        list: make_list(self.config(), child_rect, vec![item]),
+                        own: bounds,
+                        sub: bounds,
+                        dead: false,
+                    });
+                    self.node_mut(cur).children[qi] = Some(child_id);
+                    self.item_count += 1;
                     return;
                 }
-                Some(qi) => match node.children[qi] {
-                    Some(child) => cur = child,
-                    None => {
-                        // Create a fresh leaf for this quadrant (reusing a
-                        // reclaimed arena slot when one is free).
-                        let child_rect =
-                            node.rect.quadrant(Quadrant::from_index(qi as u8));
-                        let depth = node.depth + 1;
-                        let list = self.make_list(child_rect, vec![item]);
-                        let child_id = self.alloc_node(QNode {
-                            rect: child_rect,
-                            depth,
-                            children: [None; 4],
-                            list,
-                            own: bounds,
-                            sub: bounds,
-                            dead: false,
-                        });
-                        self.nodes[cur as usize].children[qi] = Some(child_id);
-                        self.item_count += 1;
-                        return;
-                    }
-                },
             }
         }
     }
 
-    /// Adds `item` to the list of `id`.
-    ///
-    /// Z-ordered lists take the incremental path (`O(log n)` z-id lookup in
-    /// the existing partitions plus a sorted splice); empty z-lists are
-    /// (re)built so the partitions exist. Basic lists splice by identity.
+    /// Adds `item` to the list of `id`: a binary search for its run and a
+    /// rewrite of that one run (see [`super::Runs`]). Empty z-lists are
+    /// (re)built so the partitions exist.
     fn store_at(&mut self, id: NodeId, item: StoredItem, bounds: &ServiceBounds) {
-        let rect = self.nodes[id as usize].rect;
-        let node = &mut self.nodes[id as usize];
+        let config = *self.config();
+        let node = self.node_mut(id);
         match &mut node.list {
-            NodeList::Basic(items) => {
-                let pos = items.partition_point(|x| (x.traj, x.seg) < (item.traj, item.seg));
-                items.insert(pos, item);
+            NodeList::Z(z) if z.is_empty() => {
+                node.list = make_list(&config, node.rect, vec![item]);
             }
-            NodeList::Z(z) if !z.is_empty() => z.insert_item(item),
-            NodeList::Z(_) => {
-                node.list = match self.config.storage {
-                    super::Storage::Basic => NodeList::Basic(vec![item]),
-                    super::Storage::ZOrder => {
-                        NodeList::Z(super::ZList::build(rect, vec![item], self.config.beta))
-                    }
-                };
-            }
+            list => list.insert_item(item, config.beta),
         }
-        let node = &mut self.nodes[id as usize];
         node.own.add(bounds);
         self.item_count += 1;
     }
@@ -156,21 +141,20 @@ impl TqTree {
     /// (recursively, via the construction path).
     ///
     /// The straddlers that stay behind keep the node's *existing* list —
-    /// descended items are deleted from it in place rather than the list
-    /// being rebuilt. For a z-ordered list this preserves the node's
+    /// descended items are filtered out of it rather than the list being
+    /// rebuilt. For a z-ordered list this preserves the node's
     /// z-partitions, which is what lets a later removal of the descended
     /// items restore the node bit-for-bit (the insert-then-remove property
     /// of `remove.rs`); it is also cheaper than re-sorting the survivors.
     fn maybe_split_leaf(&mut self, id: NodeId, users: &UserSet) {
-        let (rect, depth, len) = {
-            let n = &self.nodes[id as usize];
-            (n.rect, n.depth, n.list.len())
-        };
-        if len <= self.config().beta || depth >= self.config().max_depth {
+        let beta = self.config().beta;
+        let node = self.node(id);
+        let (rect, depth) = (node.rect, node.depth);
+        if node.list.len() <= beta || depth >= self.config().max_depth {
             return;
         }
         let mut per_child: [Vec<StoredItem>; 4] = Default::default();
-        for it in self.nodes[id as usize].list.items() {
+        for it in node.list.items() {
             if let Some(q) = child_quadrant(&rect, it) {
                 per_child[q].push(*it);
             }
@@ -180,23 +164,12 @@ impl TqTree {
             // (over-full) leaf, exactly as bulk construction leaves it.
             return;
         }
-        // Delete the descending items from the retained list in place.
-        match &mut self.nodes[id as usize].list {
-            NodeList::Basic(items) => {
-                items.retain(|it| child_quadrant(&rect, it).is_none());
-            }
-            NodeList::Z(z) => {
-                for bucket in &per_child {
-                    for it in bucket {
-                        let removed = z.remove_item(it.traj, it.seg, &it.start, &it.end);
-                        debug_assert!(removed, "descending item was in the list");
-                    }
-                }
-            }
-        }
+        self.node_mut(id)
+            .list
+            .retain(beta, |it| child_quadrant(&rect, it).is_none());
         // Recompute the retained bounds exactly from the survivors.
         let mut own_bounds = ServiceBounds::ZERO;
-        for it in self.nodes[id as usize].list.items() {
+        for it in self.node(id).list.items() {
             own_bounds.add(&it.bounds(users));
         }
         let mut children = [None; 4];
@@ -210,7 +183,7 @@ impl TqTree {
             sub.add(&self.node(child_id).sub);
             children[qi] = Some(child_id);
         }
-        let node = &mut self.nodes[id as usize];
+        let node = self.node_mut(id);
         node.children = children;
         node.own = own_bounds;
         node.sub = sub;

@@ -11,8 +11,15 @@
 //!    divide-and-conquer evaluation prune by locality at every scale.
 //! 2. **Ordered bucketing** — inside each node the trajectory list is sorted
 //!    along a Z-curve into β-sized buckets ([`ZList`]), enabling the
-//!    `zReduce` pruning. [`Storage::Basic`] keeps a flat list instead — the
-//!    paper's TQ(B) ablation.
+//!    `zReduce` pruning. [`Storage::Basic`] keeps the list in id order
+//!    instead — the paper's TQ(B) ablation.
+//!
+//! The tree is **persistent**: the arena holds its q-nodes behind `Arc`,
+//! and every list is a [`Runs`] of copy-on-write runs of ≤ 2β items. A
+//! clone shares everything with its source; an update copies the q-node
+//! headers on its root-to-node path (each with its run directory) and the
+//! one or two runs it rewrites — so the engine's per-batch copy-on-write
+//! costs what the batch touches, not the state.
 //!
 //! Three [`Placement`] policies generalize the index beyond two-point
 //! trajectories (paper §III-A): `TwoPoint` (sources/destinations),
@@ -24,7 +31,10 @@ mod build;
 mod insert;
 pub mod item;
 pub(crate) mod persist;
+#[cfg(test)]
+mod proptests;
 mod remove;
+pub mod runs;
 mod stats;
 pub mod zlist;
 pub mod zpartition;
@@ -32,11 +42,13 @@ pub mod zpartition;
 pub use insert::InsertError;
 pub use item::{StoredItem, WHOLE};
 pub use remove::RemoveError;
+pub use runs::Runs;
 pub use stats::TreeStats;
 pub use zlist::{ReduceMode, ReduceScratch, ZList};
 pub use zpartition::ZPartition;
 
 use crate::service::ServiceBounds;
+use std::sync::Arc;
 use tq_geometry::Rect;
 use tq_trajectory::UserSet;
 
@@ -72,8 +84,10 @@ pub enum Storage {
 /// TQ-tree construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TqTreeConfig {
-    /// Bucket/block size β: maximum intra-node trajectories per leaf and
-    /// maximum points per z-cell.
+    /// Bucket/block size β: maximum intra-node trajectories per leaf,
+    /// maximum points per z-cell, and the size of a list block — a run of
+    /// ≤ 2β items is the unit of storage and of copy-on-write (bulk builds
+    /// emit runs of β; see [`Runs`]).
     pub beta: usize,
     /// List storage flavour (TQ(B) vs TQ(Z)).
     pub storage: Storage,
@@ -120,21 +134,32 @@ impl TqTreeConfig {
     }
 }
 
-/// A q-node's trajectory list in either storage flavour.
+/// A q-node's trajectory list in either storage flavour. Both keep their
+/// items in one run container ([`Runs`]); they differ in the sort key and
+/// in what a query can prune by.
 #[derive(Debug, Clone)]
 pub enum NodeList {
-    /// Flat list (TQ(B)).
-    Basic(Vec<StoredItem>),
+    /// Sorted by `(traj, seg)`, scanned linearly (TQ(B)).
+    Basic(Runs),
     /// Z-ordered buckets (TQ(Z)).
     Z(ZList),
 }
 
 impl NodeList {
-    /// The stored items (sorted for [`NodeList::Z`]).
-    pub fn items(&self) -> &[StoredItem] {
+    /// The stored items, in the flavour's sort order.
+    pub fn items(&self) -> &Runs {
         match self {
-            NodeList::Basic(v) => v,
+            NodeList::Basic(runs) => runs,
             NodeList::Z(z) => z.items(),
+        }
+    }
+
+    /// Keeps only the items `keep` accepts, in order. A z-list keeps its
+    /// partitions.
+    pub(crate) fn retain(&mut self, beta: usize, keep: impl Fn(&StoredItem) -> bool) {
+        match self {
+            NodeList::Basic(runs) => runs.retain(beta, keep),
+            NodeList::Z(z) => z.items_mut().retain(beta, keep),
         }
     }
 
@@ -147,6 +172,49 @@ impl NodeList {
     pub fn is_empty(&self) -> bool {
         self.items().is_empty()
     }
+
+    /// Whether an item with `probe`'s identity is stored here.
+    pub(crate) fn contains(&self, probe: &StoredItem) -> bool {
+        match self {
+            NodeList::Basic(runs) => find_by_id(runs, probe).is_some(),
+            NodeList::Z(z) => z
+                .find(probe.traj, probe.seg, &probe.start, &probe.end)
+                .is_some(),
+        }
+    }
+
+    /// Adds `item` at its sorted position, rewriting one run.
+    pub(crate) fn insert_item(&mut self, item: StoredItem, beta: usize) {
+        match self {
+            NodeList::Basic(runs) => {
+                let at = (item.traj, item.seg);
+                let pos = runs.partition_point(|x| (x.traj, x.seg) < at);
+                runs.insert(pos, item, beta);
+            }
+            NodeList::Z(z) => z.insert_item(item, beta),
+        }
+    }
+
+    /// Removes the item with `probe`'s identity, rewriting one run.
+    /// Returns `true` when it was found.
+    pub(crate) fn remove_item(&mut self, probe: &StoredItem, beta: usize) -> bool {
+        match self {
+            NodeList::Basic(runs) => find_by_id(runs, probe)
+                .map(|pos| runs.remove(pos, beta))
+                .is_some(),
+            NodeList::Z(z) => {
+                z.remove_item(probe.traj, probe.seg, &probe.start, &probe.end, beta)
+            }
+        }
+    }
+}
+
+/// The TQ(B) counterpart of [`ZList::find`], keyed by `(traj, seg)` (the
+/// scan behind the key matters here too: a decoded TQ(B) list is not
+/// checked for order).
+fn find_by_id(runs: &Runs, probe: &StoredItem) -> Option<runs::Pos> {
+    let at = (probe.traj, probe.seg);
+    runs.find(|x| (x.traj, x.seg) < at, |x| (x.traj, x.seg) == at)
 }
 
 /// A node of the TQ-tree (the paper's *q-node*).
@@ -179,6 +247,19 @@ impl QNode {
     pub fn is_leaf(&self) -> bool {
         self.children.iter().all(Option::is_none)
     }
+
+    /// A reclaimed arena slot: dead, empty, unlinked.
+    pub(crate) fn tombstone(rect: Rect, depth: u8) -> QNode {
+        QNode {
+            rect,
+            depth,
+            children: [None; 4],
+            list: NodeList::Basic(Runs::default()),
+            own: ServiceBounds::ZERO,
+            sub: ServiceBounds::ZERO,
+            dead: true,
+        }
+    }
 }
 
 /// The Trajectory Quadtree.
@@ -187,9 +268,13 @@ impl QNode {
 /// insertion via [`TqTree::insert`] (see `insert.rs`). Queries live in
 /// [`crate::eval`] (service evaluation), [`crate::topk`] (kMaxRRST) and
 /// [`crate::maxcov`] (MaxkCovRST).
+///
+/// `Clone` is cheap and shares every node and run with the source (see the
+/// [module docs](self)); the clone and the source then diverge
+/// copy-on-write.
 #[derive(Debug, Clone)]
 pub struct TqTree {
-    pub(crate) nodes: Vec<QNode>,
+    pub(crate) nodes: Vec<Arc<QNode>>,
     /// Arena slots reclaimed by removals, reused by later inserts so the
     /// arena does not grow without bound under insert/remove churn.
     pub(crate) free: Vec<NodeId>,
@@ -223,33 +308,36 @@ impl TqTree {
         self.nodes.len() - self.free.len()
     }
 
+    /// Node `id` for writing: copies its header (with the run directory,
+    /// never the items) first when another clone of the tree still shares
+    /// it — the one place the arena is written through.
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut QNode {
+        Arc::make_mut(&mut self.nodes[id as usize])
+    }
+
     /// Allocates an arena slot for `node`, reusing a reclaimed slot when one
     /// is available.
     pub(crate) fn alloc_node(&mut self, node: QNode) -> NodeId {
         match self.free.pop() {
             Some(id) => {
-                self.nodes[id as usize] = node;
+                self.nodes[id as usize] = Arc::new(node);
                 id
             }
             None => {
                 let id = self.nodes.len() as NodeId;
-                self.nodes.push(node);
+                self.nodes.push(Arc::new(node));
                 id
             }
         }
     }
 
-    /// Reclaims one node's arena slot: marks it dead, clears its payload and
-    /// pushes it onto the free list. The caller must already have unlinked
-    /// it from its parent.
+    /// Reclaims one node's arena slot: replaces it with a cleared tombstone
+    /// and pushes it onto the free list. The caller must already have
+    /// unlinked it from its parent.
     pub(crate) fn release_node(&mut self, id: NodeId) {
-        let node = &mut self.nodes[id as usize];
+        let node = self.node(id);
         debug_assert!(!node.dead, "double release of node {id}");
-        node.children = [None; 4];
-        node.list = NodeList::Basic(Vec::new());
-        node.own = ServiceBounds::ZERO;
-        node.sub = ServiceBounds::ZERO;
-        node.dead = true;
+        self.nodes[id as usize] = Arc::new(QNode::tombstone(node.rect, node.depth));
         self.free.push(id);
     }
 
@@ -275,25 +363,28 @@ impl TqTree {
             .iter()
             .enumerate()
             .filter(|(_, n)| !n.dead)
-            .map(|(i, n)| (i as NodeId, n))
+            .map(|(i, n)| (i as NodeId, &**n))
     }
 
     /// Exhaustively checks the structural invariants; used by tests.
     ///
     /// Verifies that (1) every item appears exactly once, (2) items are
     /// geometrically consistent with the node that stores them, (3) `sub`
-    /// bounds aggregate own + children, (4) z-lists are sorted, (5) dead
-    /// arena slots are empty and unreferenced, and (6) the canonical shape
-    /// invariant holds: a node has children iff its subtree holds more than
-    /// β items (below the depth limit), so incrementally maintained trees
-    /// keep the same structure a bulk build over the same items produces.
+    /// bounds aggregate own + children, (4) z-lists are sorted and every
+    /// list's runs keep their size bounds, (5) dead arena slots are empty
+    /// and unreferenced, and (6) the canonical shape invariant holds: a
+    /// node has children iff its subtree holds more than β items (below the
+    /// depth limit) and an internal node stores only items that straddle
+    /// its children — so incrementally maintained trees keep the same
+    /// structure a bulk build over the same items produces, and an item's
+    /// node follows from its geometry alone (what `remove` relies on).
     ///
-    /// Expects every trajectory of `users` to be indexed; for trees that
-    /// have had removals (the [`UserSet`] keeps removed trajectories as
-    /// id-stable tombstones) use [`TqTree::validate_with_count`].
+    /// Expects every trajectory present in `users` to be indexed; for trees
+    /// with removals whose ids the caller has not [retired](UserSet::retire)
+    /// use [`TqTree::validate_with_count`].
     pub fn validate(&self, users: &UserSet) -> Result<(), String> {
         let expected: usize = match self.config.placement {
-            Placement::TwoPoint | Placement::FullTrajectory => users.len(),
+            Placement::TwoPoint | Placement::FullTrajectory => users.present(),
             Placement::Segmented => users.total_segments(),
         };
         self.validate_with_count(users, expected)
@@ -344,13 +435,19 @@ impl TqTree {
                         it.traj, it.seg, id
                     ));
                 }
+                if !node.is_leaf() && build::child_quadrant(&node.rect, it).is_some() {
+                    return Err(format!(
+                        "item ({}, {}) at internal node {id} fits one of its children",
+                        it.traj, it.seg
+                    ));
+                }
             }
+            node.list
+                .items()
+                .check(self.config.beta)
+                .map_err(|why| format!("list of node {id}: {why}"))?;
             if let NodeList::Z(z) = &node.list {
-                if !z
-                    .items()
-                    .windows(2)
-                    .all(|w| (w[0].start_z, w[0].end_z) <= (w[1].start_z, w[1].end_z))
-                {
+                if !z.items().iter().map(|it| (it.start_z, it.end_z)).is_sorted() {
                     return Err(format!("z-list of node {id} not sorted"));
                 }
             }
@@ -396,7 +493,8 @@ impl TqTree {
     /// Rough memory footprint in bytes (arena + lists), for the storage-cost
     /// discussion of paper §III-B.
     pub fn memory_bytes(&self) -> usize {
-        let mut total = self.nodes.capacity() * std::mem::size_of::<QNode>();
+        let mut total = self.nodes.capacity() * std::mem::size_of::<Arc<QNode>>()
+            + self.nodes.len() * std::mem::size_of::<QNode>();
         for (_, node) in self.iter_nodes() {
             total += node.list.len() * std::mem::size_of::<StoredItem>();
         }

@@ -8,7 +8,9 @@
 //! the decoded tree is *structurally identical* to the encoded one — same
 //! node ids, same item order, same partition topology — and therefore
 //! answers every query (and applies every future insert/remove) exactly
-//! like the tree that was saved.
+//! like the tree that was saved. Each list goes down as the flat sorted
+//! sequence it is: the run boundaries of [`Runs`] are an in-memory layout,
+//! never encoded, and a decoded list is cut into fresh runs of β.
 //!
 //! Decoding is paranoid: all reads go through the checked
 //! [`Reader`], every tag/index/id is validated before use (child links in
@@ -20,9 +22,10 @@
 use super::item::{StoredItem, WHOLE};
 use super::zlist::ZList;
 use super::zpartition::ZPartition;
-use super::{NodeList, Placement, QNode, Storage, TqTree, TqTreeConfig};
+use super::{NodeList, Placement, QNode, Runs, Storage, TqTree, TqTreeConfig};
 use crate::service::ServiceBounds;
 use bytes::{BufMut, BytesMut};
+use std::sync::Arc;
 use tq_geometry::{Rect, ZId};
 use tq_store::codec::{Decode, Encode, Reader};
 use tq_store::StoreError;
@@ -76,7 +79,9 @@ fn item_from_parts(
     if (traj as usize) >= users.len() {
         return Err(corrupt(format!("item names trajectory {traj} of {}", users.len())));
     }
-    let t = users.get(traj);
+    let t = users
+        .try_get(traj)
+        .ok_or_else(|| corrupt(format!("item names removed trajectory {traj}")))?;
     let mut item = if seg == WHOLE {
         // Whole-trajectory items exist in two flavours with different
         // MBRs; the placement decides which constructor built them.
@@ -157,37 +162,31 @@ fn get_partition(r: &mut Reader, root: Rect) -> Result<ZPartition, StoreError> {
 }
 
 fn put_list(list: &NodeList, buf: &mut BytesMut) {
-    match list {
-        NodeList::Basic(items) => {
-            buf.put_u8(TAG_BASIC);
-            buf.put_u32_le(items.len() as u32);
-            for it in items {
-                put_item(it, buf);
-            }
-        }
-        NodeList::Z(z) => {
-            buf.put_u8(TAG_Z);
-            buf.put_u32_le(z.len() as u32);
-            for it in z.items() {
-                put_item(it, buf);
-            }
-            put_partition(z.starts(), buf);
-            put_partition(z.ends(), buf);
-        }
+    buf.put_u8(match list {
+        NodeList::Basic(_) => TAG_BASIC,
+        NodeList::Z(_) => TAG_Z,
+    });
+    buf.put_u32_le(list.len() as u32);
+    for it in list.items() {
+        put_item(it, buf);
+    }
+    if let NodeList::Z(z) = list {
+        put_partition(z.starts(), buf);
+        put_partition(z.ends(), buf);
     }
 }
 
 fn get_list(
     r: &mut Reader,
     users: &UserSet,
-    placement: Placement,
+    config: &TqTreeConfig,
     rect: Rect,
 ) -> Result<NodeList, StoreError> {
     let tag = r.u8()?;
     let n = r.count(ITEM_SIZE)?;
-    let items = get_items(r, n, users, placement)?;
+    let items = get_items(r, n, users, config.placement)?;
     match tag {
-        TAG_BASIC => Ok(NodeList::Basic(items)),
+        TAG_BASIC => Ok(NodeList::Basic(Runs::from_sorted(&items, config.beta))),
         TAG_Z => {
             if !items
                 .windows(2)
@@ -197,7 +196,12 @@ fn get_list(
             }
             let starts = get_partition(r, rect)?;
             let ends = get_partition(r, rect)?;
-            Ok(NodeList::Z(ZList::from_raw_parts(items, starts, ends)))
+            Ok(NodeList::Z(ZList::from_raw_parts(
+                &items,
+                starts,
+                ends,
+                config.beta,
+            )))
         }
         other => Err(corrupt(format!("node list tag {other}"))),
     }
@@ -224,7 +228,7 @@ pub(crate) fn encode_tree(tree: &TqTree, buf: &mut BytesMut) {
     // can hand the blobs — the bulk of the arena — to parallel workers.
     buf.put_u32_le(tree.nodes.len() as u32);
     let mut blob = BytesMut::with_capacity(1 << 12);
-    for node in &tree.nodes {
+    for node in tree.nodes.iter().map(|n| &**n) {
         if node.dead {
             // A reclaimed slot carries no information beyond its deadness;
             // its payload was cleared by `release_node`.
@@ -255,7 +259,7 @@ fn get_node_blob(
     blob: &bytes::Bytes,
     n_nodes: usize,
     users: &UserSet,
-    placement: Placement,
+    config: &TqTreeConfig,
 ) -> Result<QNode, StoreError> {
     let mut r = Reader::new(blob.clone());
     let depth = r.u8()?;
@@ -272,7 +276,7 @@ fn get_node_blob(
     let rect = Rect::decode(&mut r)?;
     let own = get_bounds(&mut r)?;
     let sub = get_bounds(&mut r)?;
-    let list = get_list(&mut r, users, placement, rect)?;
+    let list = get_list(&mut r, users, config, rect)?;
     r.finish()?;
     Ok(QNode {
         rect,
@@ -334,20 +338,12 @@ pub(crate) fn decode_tree(r: &mut Reader, users: &UserSet) -> Result<TqTree, Sto
     // Phase 2: decode the blobs — items, z-lists, partitions — in
     // parallel; node blobs are self-contained by construction.
     let decoded = crate::parallel::par_map(&blobs, |blob| match blob {
-        None => Ok(QNode {
-            rect: bounds,
-            depth: 0,
-            children: [None; 4],
-            list: NodeList::Basic(Vec::new()),
-            own: ServiceBounds::ZERO,
-            sub: ServiceBounds::ZERO,
-            dead: true,
-        }),
-        Some(blob) => get_node_blob(blob, n_nodes, users, placement),
+        None => Ok(QNode::tombstone(bounds, 0)),
+        Some(blob) => get_node_blob(blob, n_nodes, users, &config),
     });
     let mut nodes = Vec::with_capacity(n_nodes);
     for d in decoded {
-        nodes.push(d?);
+        nodes.push(Arc::new(d?));
     }
     let n_free = r.count(4)?;
     let mut free = Vec::with_capacity(n_free);

@@ -3,9 +3,11 @@
 //! The paper only discusses insertion (§III-C); a production index needs the
 //! inverse. `remove` locates each item of a trajectory by the same `O(h)`
 //! straddle-or-descend routing used at insert time (the descent of
-//! Algorithm 1), deletes it from its node list, and subtracts its
-//! service-bound contribution from the `sub` aggregates along the path so
-//! the kMaxRRST bounds (Algorithms 3/4) stay admissible.
+//! Algorithm 1) — geometry names the one node that can hold it, and a keyed
+//! binary search finds it there — deletes it by rewriting the one run of
+//! ≤ 2β items that held it, and subtracts its service-bound contribution
+//! from the `sub` aggregates along the path so the kMaxRRST bounds
+//! (Algorithms 3/4) stay admissible.
 //!
 //! Removal also restores the tree's **canonical shape** — the invariant
 //! that a node has children iff its subtree holds more than β items, which
@@ -25,15 +27,17 @@
 //! the same trajectories restores the pre-insert structural statistics
 //! bit-for-bit (`tests/index_invariants.rs` asserts it as a property).
 //!
-//! Removal does not reuse trajectory ids: the [`UserSet`] is append-only, so
-//! the caller keeps the (now unindexed) trajectory in the set and the tree
-//! simply stops referring to it. This mirrors tombstone-style deletion in
-//! LSM-flavoured stores and keeps every `TrajectoryId` stable.
+//! Removal does not reuse trajectory ids: the [`UserSet`] only grows, and
+//! the tree simply stops referring to the trajectory. Once the tree (and
+//! whatever else still needs its points) is done with it the caller
+//! [retires](UserSet::retire) the id — it stays assigned, keeping every
+//! `TrajectoryId` stable, while the points are given up.
 
-use super::build::{child_quadrant, make_items};
+use super::build::{child_quadrant, items_of, make_list};
 use super::item::StoredItem;
-use super::{NodeId, NodeList, TqTree, ROOT};
+use super::{NodeId, QNode, TqTree, ROOT};
 use crate::service::ServiceBounds;
+use std::sync::Arc;
 use tq_trajectory::{TrajectoryId, UserSet};
 
 /// Errors returned by [`TqTree::remove`].
@@ -64,11 +68,8 @@ impl TqTree {
         if (id as usize) >= users.len() {
             return Err(RemoveError::NotFound);
         }
-        let single = UserSet::from_vec(vec![users.get(id).clone()]);
-        let mut items = make_items(&single, self.config().placement);
-        for it in &mut items {
-            it.traj = id;
-        }
+        let items: Vec<StoredItem> =
+            items_of(id, users.get(id), self.config().placement).collect();
         // Dry-run location pass first so a missing item leaves the tree
         // untouched (all-or-nothing semantics).
         for it in &items {
@@ -76,6 +77,7 @@ impl TqTree {
                 return Err(RemoveError::NotFound);
             }
         }
+        let beta = self.config().beta;
         for it in &items {
             // Re-locate per item: collapses triggered by earlier items of
             // the same trajectory may have moved later items up the tree.
@@ -87,7 +89,7 @@ impl TqTree {
             let mut cur = ROOT;
             loop {
                 path.push(cur);
-                let n = &mut self.nodes[cur as usize];
+                let n = self.node_mut(cur);
                 n.sub.s1 -= bounds.s1;
                 n.sub.s2 -= bounds.s2;
                 n.sub.s3 -= bounds.s3;
@@ -100,23 +102,16 @@ impl TqTree {
                 let q = child_quadrant(&n.rect, it).expect("located via this path");
                 cur = n.children[q].expect("located via this path");
             }
-            // Delete from the node list in place.
-            let removed = match &mut self.nodes[node as usize].list {
-                NodeList::Basic(items) => {
-                    let before = items.len();
-                    items.retain(|x| !(x.traj == it.traj && x.seg == it.seg));
-                    before == items.len() + 1
-                }
-                NodeList::Z(z) => z.remove_item(it.traj, it.seg, &it.start, &it.end),
-            };
+            // Delete from the node list: one run is rewritten.
+            let n = self.node_mut(node);
+            let removed = n.list.remove_item(it, beta);
             debug_assert!(removed, "locate() said the item was here");
-            let _ = removed;
-            self.item_count -= 1;
             // An emptied node's own bound is exactly zero — reset it rather
             // than carrying subtraction drift.
-            if self.nodes[node as usize].list.is_empty() {
-                self.nodes[node as usize].own = ServiceBounds::ZERO;
+            if n.list.is_empty() {
+                n.own = ServiceBounds::ZERO;
             }
+            self.item_count -= 1;
             self.restore_shape(&path, users);
         }
         Ok(())
@@ -130,9 +125,10 @@ impl TqTree {
         // parent an empty leaf in turn).
         for w in (1..path.len()).rev() {
             let (parent, child) = (path[w - 1], path[w]);
-            let n = &self.nodes[child as usize];
+            let n = self.node(child);
             if n.is_leaf() && n.list.is_empty() {
-                let slot = self.nodes[parent as usize]
+                let slot = self
+                    .node_mut(parent)
                     .children
                     .iter_mut()
                     .find(|c| **c == Some(child))
@@ -145,7 +141,7 @@ impl TqTree {
         // descendants are subsumed, so one collapse per removal suffices.
         let beta = self.config().beta;
         for &id in path {
-            if self.nodes[id as usize].dead || self.nodes[id as usize].is_leaf() {
+            if self.node(id).dead || self.node(id).is_leaf() {
                 continue;
             }
             if self.subtree_items_capped(id, beta).is_some() {
@@ -159,14 +155,9 @@ impl TqTree {
     /// stored below, reclaims the descendant nodes, rebuilds the list via
     /// the normal construction path and recomputes the bounds exactly.
     fn collapse(&mut self, id: NodeId, users: &UserSet) {
-        let mut items: Vec<StoredItem> = match std::mem::replace(
-            &mut self.nodes[id as usize].list,
-            NodeList::Basic(Vec::new()),
-        ) {
-            NodeList::Basic(v) => v,
-            NodeList::Z(z) => z.items().to_vec(),
-        };
-        let children = std::mem::take(&mut self.nodes[id as usize].children);
+        let node = self.node(id);
+        let (rect, depth, children) = (node.rect, node.depth, node.children);
+        let mut items = node.list.items().to_vec();
         for child in children.into_iter().flatten() {
             self.drain_subtree(child, &mut items);
         }
@@ -174,50 +165,44 @@ impl TqTree {
         for it in &items {
             own.add(&it.bounds(users));
         }
-        let rect = self.nodes[id as usize].rect;
-        let list = self.make_list(rect, items);
-        let node = &mut self.nodes[id as usize];
-        node.list = list;
-        node.own = own;
-        node.sub = own;
+        self.nodes[id as usize] = Arc::new(QNode {
+            rect,
+            depth,
+            children: [None; 4],
+            list: make_list(self.config(), rect, items),
+            own,
+            sub: own,
+            dead: false,
+        });
     }
 
-    /// Moves every item of the subtree of `id` into `out` and reclaims the
+    /// Copies every item of the subtree of `id` into `out` and reclaims the
     /// subtree's arena slots.
     fn drain_subtree(&mut self, id: NodeId, out: &mut Vec<StoredItem>) {
-        let children = std::mem::take(&mut self.nodes[id as usize].children);
-        match std::mem::replace(
-            &mut self.nodes[id as usize].list,
-            NodeList::Basic(Vec::new()),
-        ) {
-            NodeList::Basic(v) => out.extend(v),
-            NodeList::Z(z) => out.extend_from_slice(z.items()),
-        }
+        let node = self.node(id);
+        let children = node.children;
+        out.extend(node.list.items());
         for child in children.into_iter().flatten() {
             self.drain_subtree(child, out);
         }
         self.release_node(id);
     }
 
-    /// Finds the node storing `item` by replaying the placement descent.
-    fn locate(&self, item: &super::StoredItem) -> Option<NodeId> {
+    /// Finds the node storing `item` by geometry: by the shape invariant
+    /// ([`TqTree::validate`], check 6) an item lives at the first node on
+    /// its placement descent that is a leaf or whose children it straddles,
+    /// so only that node's list is searched — by key, not by scanning.
+    fn locate(&self, item: &StoredItem) -> Option<NodeId> {
         let mut cur = ROOT;
         loop {
             let node = self.node(cur);
-            let here = node
-                .list
-                .items()
-                .iter()
-                .any(|x| x.traj == item.traj && x.seg == item.seg);
-            if here {
-                return Some(cur);
-            }
-            if node.is_leaf() {
-                return None;
-            }
-            match child_quadrant(&node.rect, item) {
-                // Straddles children but isn't in this node's list.
-                None => return None,
+            let quadrant = if node.is_leaf() {
+                None
+            } else {
+                child_quadrant(&node.rect, item)
+            };
+            match quadrant {
+                None => return node.list.contains(item).then_some(cur),
                 Some(q) => cur = node.children[q]?,
             }
         }
@@ -260,7 +245,8 @@ mod tests {
         }
         assert_eq!(tree.item_count(), 100);
         // A rebuilt tree over the remainder answers identically.
-        let remainder = UserSet::from_vec(users.as_slice()[100..].to_vec());
+        let remainder =
+            UserSet::from_vec(users.iter().skip(100).map(|(_, t)| t.clone()).collect());
         let rebuilt = TqTree::build_with_bounds(
             &remainder,
             TqTreeConfig::default().with_beta(8),

@@ -2,14 +2,23 @@
 //!
 //! Inside every q-node the TQ(Z) index keeps its trajectory list sorted by
 //! the pair *(start z-id, end z-id)* assigned by two [`ZPartition`]s over the
-//! node's rectangle. `zReduce` (paper §IV, Example 4) then prunes the list
-//! for a facility component in two phases: first the runs of items whose
-//! start z-cell the component can reach, then a per-survivor check of the end
-//! z-cell. Both phases are binary searches over the sorted list, never a
-//! scan of the whole list.
+//! node's rectangle, stored as the paper's z-ordered blocks (§IV): a
+//! [`Runs`] of copy-on-write runs of ≤ 2β items. **A run of ≤ 2β items is
+//! the unit of storage and of copy-on-write** — an update rewrites the run
+//! it lands in, never the list; the partitions are immutable once built and
+//! sit behind `Arc`, so cloning a z-list (which every q-node header copy
+//! does) copies a run directory and two pointers.
+//!
+//! `zReduce` (paper §IV, Example 4) prunes the list for a facility
+//! component in two phases: first the stretches of items whose start z-cell
+//! the component can reach, then a per-survivor check of the end z-cell. Both
+//! phases are binary searches — of the run directory, then inside one run —
+//! over the flattened sorted sequence, never a scan of the whole list.
 
 use super::item::StoredItem;
+use super::runs::{Pos, Runs};
 use super::zpartition::ZPartition;
+use std::sync::Arc;
 use tq_geometry::{Point, Rect, ZId};
 
 /// How `zReduce` may prune items, derived from the service scenario and the
@@ -39,12 +48,17 @@ pub struct ReduceScratch {
 }
 
 /// A q-node's trajectory list in TQ(Z) form: items sorted along the Z-curve
-/// with the two partitions that assigned the ids.
+/// in copy-on-write runs, with the two partitions that assigned the ids.
 #[derive(Debug, Clone)]
 pub struct ZList {
-    items: Vec<StoredItem>,
-    starts: ZPartition,
-    ends: ZPartition,
+    items: Runs,
+    starts: Arc<ZPartition>,
+    ends: Arc<ZPartition>,
+}
+
+/// The z-list sort key.
+fn key(it: &StoredItem) -> (ZId, ZId, u32, u32) {
+    (it.start_z, it.end_z, it.traj, it.seg)
 }
 
 impl ZList {
@@ -61,20 +75,19 @@ impl ZList {
         for (item, z) in items.iter_mut().zip(&end_ids) {
             item.end_z = *z;
         }
-        items.sort_unstable_by(|a, b| {
-            (a.start_z, a.end_z, a.traj, a.seg).cmp(&(b.start_z, b.end_z, b.traj, b.seg))
-        });
-        ZList {
-            items,
-            starts,
-            ends,
-        }
+        items.sort_unstable_by_key(key);
+        ZList::from_raw_parts(&items, starts, ends, beta)
     }
 
     /// The sorted items.
     #[inline]
-    pub fn items(&self) -> &[StoredItem] {
+    pub fn items(&self) -> &Runs {
         &self.items
+    }
+
+    /// The sorted items, for in-place maintenance by the owning tree.
+    pub(super) fn items_mut(&mut self) -> &mut Runs {
+        &mut self.items
     }
 
     /// Number of items.
@@ -108,67 +121,64 @@ impl ZList {
     /// Reassembles a z-list from persisted parts — the items must already
     /// carry their z-ids and be in the sorted order [`ZList::build`]
     /// produces (the decoder verifies the sort; `TqTree::validate` checks
-    /// it again on load).
+    /// it again on load). They are cut into fresh runs of `beta`.
     pub(crate) fn from_raw_parts(
-        items: Vec<StoredItem>,
+        items: &[StoredItem],
         starts: ZPartition,
         ends: ZPartition,
+        beta: usize,
     ) -> ZList {
         ZList {
-            items,
-            starts,
-            ends,
+            items: Runs::from_sorted(items, beta),
+            starts: Arc::new(starts),
+            ends: Arc::new(ends),
         }
     }
 
     /// Incremental insert: assigns z-ids from the *existing* partitions
-    /// (the cells containing the item's anchors) and splices the item into
-    /// the sorted list — `O(log n)` search plus the vector shift.
+    /// (the cells containing the item's anchors), finds the item's run by
+    /// binary search and rewrites that one run with the item in place — a
+    /// copy of ≤ 2β items however long the list is. A run that outgrows 2β
+    /// splits in half.
     ///
-    /// The partitions are not refined, so a cell may temporarily exceed β
-    /// points; `zReduce` stays sound (coverage tests are purely geometric)
-    /// and only marginally less selective until the node is next rebuilt.
-    /// This matches the paper's `O(β)`-reassignment spirit without the
-    /// bookkeeping.
-    pub fn insert_item(&mut self, mut item: StoredItem) {
+    /// The partitions are not refined (they are shared, immutable), so a
+    /// z-cell may temporarily map to more than β points; `zReduce` stays
+    /// sound (coverage tests are purely geometric) and only marginally
+    /// less selective until the node is next rebuilt. The cost is the
+    /// paper's `O(β)` reassignment within one z-node, without its
+    /// repartitioning bookkeeping.
+    pub fn insert_item(&mut self, mut item: StoredItem, beta: usize) {
         item.start_z = self.starts.locate(&item.start);
         item.end_z = self.ends.locate(&item.end);
-        let key = (item.start_z, item.end_z, item.traj, item.seg);
-        let pos = self
-            .items
-            .partition_point(|x| (x.start_z, x.end_z, x.traj, x.seg) < key);
-        self.items.insert(pos, item);
+        let at = key(&item);
+        let pos = self.items.partition_point(|x| key(x) < at);
+        self.items.insert(pos, item, beta);
+    }
+
+    /// Where the item with this identity sits: keyed by the z-ids the
+    /// partitions give its anchors, with [`Runs::find`]'s scan by identity
+    /// behind it should a stored item carry other z-ids than
+    /// [`ZPartition::locate`] reproduces.
+    pub(super) fn find(&self, traj: u32, seg: u32, start: &Point, end: &Point) -> Option<Pos> {
+        let at = (self.starts.locate(start), self.ends.locate(end), traj, seg);
+        self.items
+            .find(|x| key(x) < at, |x| (x.traj, x.seg) == (traj, seg))
     }
 
     /// Incremental removal of the item with this identity. Returns `true`
-    /// when found. `O(log n)` to find the sorted position, then the vector
-    /// shift.
-    pub fn remove_item(&mut self, traj: u32, seg: u32, start: &Point, end: &Point) -> bool {
-        let start_z = self.starts.locate(start);
-        let end_z = self.ends.locate(end);
-        let key = (start_z, end_z, traj, seg);
-        let pos = self
-            .items
-            .partition_point(|x| (x.start_z, x.end_z, x.traj, x.seg) < key);
-        if pos < self.items.len() {
-            let x = &self.items[pos];
-            if (x.start_z, x.end_z, x.traj, x.seg) == key {
-                self.items.remove(pos);
-                return true;
-            }
-        }
-        // The item may have been bulk-built with different (finer) partition
-        // state than `locate` reproduces — fall back to a linear search by
-        // identity before reporting absence.
-        if let Some(pos) = self
-            .items
-            .iter()
-            .position(|x| x.traj == traj && x.seg == seg)
-        {
-            self.items.remove(pos);
-            return true;
-        }
-        false
+    /// when found. Rewrites the one run that held the item (a copy of
+    /// < 2β items); a run that falls below β/2 merges with a neighbour.
+    pub fn remove_item(
+        &mut self,
+        traj: u32,
+        seg: u32,
+        start: &Point,
+        end: &Point,
+        beta: usize,
+    ) -> bool {
+        self.find(traj, seg, start, end)
+            .map(|pos| self.items.remove(pos, beta))
+            .is_some()
     }
 
     /// The two-phase `zReduce` of the paper: visits the indices of items
@@ -206,27 +216,31 @@ impl ZList {
         self.starts
             .covered_ranges(stops, psi, &mut scratch.start_ranges);
         self.ends.covered_ranges(stops, psi, &mut scratch.end_ranges);
+        let items = &self.items;
         let mut visited = 0usize;
         match mode {
             ReduceMode::Both => {
-                // Phase 1: contiguous runs of covered start z-ids.
+                // Phase 1: contiguous stretches of covered start z-ids.
                 for &(lo, hi) in &scratch.start_ranges {
-                    let from = self.items.partition_point(|it| it.start_z < lo);
-                    let to = self.items.partition_point(|it| it.start_z <= hi);
+                    let from = items.partition_point(|it| it.start_z < lo);
+                    let to = items.partition_point(|it| it.start_z <= hi);
                     // Phase 2: per-survivor end z-id check.
-                    for it in &self.items[from..to] {
-                        if ZPartition::ranges_cover(&scratch.end_ranges, &it.end_z) {
-                            visited += 1;
-                            visit(it);
+                    for run in items.between(from, to) {
+                        for it in run {
+                            if ZPartition::ranges_cover(&scratch.end_ranges, &it.end_z) {
+                                visited += 1;
+                                visit(it);
+                            }
                         }
                     }
                 }
             }
             ReduceMode::Either => {
-                // Visit covered-start runs; outside them, rescue items whose
-                // end could still be reachable — a cheap O(1) rectangle test
-                // first, the end z-id binary search only for survivors. Runs
-                // are disjoint and sorted, so we walk the gaps between them.
+                // Visit covered-start stretches; outside them, rescue items
+                // whose end could still be reachable — a cheap O(1) rectangle
+                // test first, the end z-id binary search only for survivors.
+                // Stretches are disjoint and sorted, so we walk the gaps
+                // between them.
                 let rescue = |it: &StoredItem, visited: &mut usize, visit: &mut F| {
                     if comp_embr.intersects(&it.mbr)
                         && ZPartition::ranges_cover(&scratch.end_ranges, &it.end_z)
@@ -235,26 +249,32 @@ impl ZList {
                         visit(it);
                     }
                 };
-                let mut cursor = 0usize;
+                let mut cursor: Pos = (0, 0);
                 for &(lo, hi) in &scratch.start_ranges {
-                    let from = self.items.partition_point(|it| it.start_z < lo);
-                    let to = self.items.partition_point(|it| it.start_z <= hi);
-                    for it in &self.items[cursor.min(from)..from] {
-                        rescue(it, &mut visited, &mut visit);
+                    let from = items.partition_point(|it| it.start_z < lo);
+                    let to = items.partition_point(|it| it.start_z <= hi);
+                    for run in items.between(cursor.min(from), from) {
+                        for it in run {
+                            rescue(it, &mut visited, &mut visit);
+                        }
                     }
-                    for it in &self.items[from..to] {
-                        visited += 1;
-                        visit(it);
+                    for run in items.between(from, to) {
+                        for it in run {
+                            visited += 1;
+                            visit(it);
+                        }
                     }
                     cursor = cursor.max(to);
                 }
-                for it in &self.items[cursor..] {
-                    rescue(it, &mut visited, &mut visit);
+                for run in items.between(cursor, items.end()) {
+                    for it in run {
+                        rescue(it, &mut visited, &mut visit);
+                    }
                 }
             }
             ReduceMode::Scan => unreachable!(),
         }
-        self.items.len() - visited
+        items.len() - visited
     }
 }
 
@@ -291,6 +311,7 @@ mod tests {
         let zl = ZList::build(unit(), random_items(200, 1), 8);
         assert!(zl
             .items()
+            .to_vec()
             .windows(2)
             .all(|w| (w[0].start_z, w[0].end_z) <= (w[1].start_z, w[1].end_z)));
         assert_eq!(zl.len(), 200);

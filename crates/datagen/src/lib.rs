@@ -452,9 +452,9 @@ mod tests {
         let c = city();
         let a = taxi_trips(&c, 100, 42);
         let b = taxi_trips(&c, 100, 42);
-        assert_eq!(a.as_slice(), b.as_slice());
+        assert_eq!(a, b);
         let d = taxi_trips(&c, 100, 43);
-        assert_ne!(a.as_slice(), d.as_slice());
+        assert_ne!(a, d);
     }
 
     #[test]
@@ -593,7 +593,7 @@ mod tests {
         let c = city();
         let a = stream_scenario(&c, StreamKind::Taxi, 200, 400, 0.5, 9);
         let b = stream_scenario(&c, StreamKind::Taxi, 200, 400, 0.5, 9);
-        assert_eq!(a.initial.as_slice(), b.initial.as_slice());
+        assert_eq!(a.initial, b.initial);
         assert_eq!(a.events.len(), 400);
         assert_eq!(a.events.len(), b.events.len());
         // Replay: every expiry names a live id under sequential numbering,

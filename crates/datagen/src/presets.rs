@@ -79,7 +79,7 @@ mod tests {
     fn presets_deterministic() {
         let a = nyt_like(500);
         let b = nyt_like(500);
-        assert_eq!(a.as_slice(), b.as_slice());
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -89,7 +89,7 @@ mod tests {
         // thing only.
         let small = nyt_like(100);
         let large = nyt_like(200);
-        assert_eq!(small.as_slice(), &large.as_slice()[..100]);
+        assert_eq!(small, large.truncated(100));
     }
 
     #[test]
@@ -106,7 +106,7 @@ mod tests {
     fn city_models_differ() {
         let a = nyt_like(50);
         let b = bjg_like(50);
-        assert_ne!(a.as_slice(), b.as_slice());
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -369,11 +369,17 @@ impl Decode for Facility {
     }
 }
 
+/// One entry per assigned id, in id order. A retired trajectory goes down
+/// as the empty point list — its id, not its points, is what the state
+/// still needs — so the section's size follows the live set.
 impl Encode for UserSet {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.len() as u32);
-        for (_, t) in self.iter() {
-            t.encode(buf);
+        for id in 0..self.len() as u32 {
+            match self.try_get(id) {
+                Some(t) => t.encode(buf),
+                None => buf.put_u32_le(0),
+            }
         }
     }
 }
@@ -381,12 +387,18 @@ impl Encode for UserSet {
 impl Decode for UserSet {
     const MIN_SIZE: usize = 4;
     fn decode(r: &mut Reader) -> Result<Self, StoreError> {
-        let n = r.count(Trajectory::MIN_SIZE)?;
-        let mut out = Vec::with_capacity(n);
+        let n = r.count(4)?;
+        let mut out = UserSet::new();
         for _ in 0..n {
-            out.push(Trajectory::decode(r)?);
+            // Peek the point count: zero marks a retired id.
+            if r.clone().u32()? == 0 {
+                r.u32()?;
+                out.push_retired();
+            } else {
+                out.push(Trajectory::decode(r)?);
+            }
         }
-        Ok(UserSet::from_vec(out))
+        Ok(out)
     }
 }
 
@@ -548,6 +560,20 @@ mod tests {
         ]));
         roundtrip(UserSet::new());
         roundtrip(FacilitySet::new());
+
+        // A retired trajectory keeps its id and costs one empty point list.
+        let mut users = UserSet::from_vec(
+            (0..3).map(|i| Trajectory::two_point(p(i as f64, 0.0), p(i as f64, 1.0))).collect(),
+        );
+        let mut full = BytesMut::with_capacity(128);
+        users.encode(&mut full);
+        users.retire(1);
+        let mut buf = BytesMut::with_capacity(128);
+        users.encode(&mut buf);
+        assert_eq!(buf.len(), full.len() - 2 * Point::MIN_SIZE);
+        let back = UserSet::decode(&mut Reader::new(buf.freeze())).unwrap();
+        assert_eq!(back, users);
+        assert_eq!((back.len(), back.present(), back.is_retired(1)), (3, 2, true));
     }
 
     #[test]

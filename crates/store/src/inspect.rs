@@ -175,7 +175,9 @@ fn report_snapshot_bytes(path: &Path, bytes: Bytes) -> Result<String, StoreError
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
     let (meta, body_len, body_crc) = snapshot::read_header(&bytes)?;
     let mut out = String::new();
-    let _ = writeln!(out, "snapshot {name} (format v{})", snapshot::VERSION);
+    // `read_header` vouched for the header's length and version field.
+    let version = u16::from_le_bytes([bytes.as_ref()[4], bytes.as_ref()[5]]);
+    let _ = writeln!(out, "snapshot {name} (format v{version})");
     let _ = writeln!(
         out,
         "  epoch {}  backend {}  scenario {}",

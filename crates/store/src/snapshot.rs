@@ -4,11 +4,11 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic "TQSN"
-//!      4     2  format version (currently 1)
+//!      4     2  format version (2; version 1 is still read)
 //!      6     1  backend tag (0 = TQ-tree, 1 = BL baseline)
 //!      7     1  scenario tag (0 transit / 1 point-count / 2 length)
 //!      8     8  epoch
-//!     16     8  user trajectory count (including removed tombstones)
+//!     16     8  user trajectory count (ids assigned, including retired ones)
 //!     24     8  live trajectory count
 //!     32     8  facility count
 //!     40     8  TQ-tree arena slots (0 for the baseline backend)
@@ -30,8 +30,12 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Snapshot file magic, `"TQSN"`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"TQSN");
-/// Current snapshot format version.
-pub const VERSION: u16 = 1;
+/// The snapshot format version this build writes. Version 2 bodies encode
+/// a retired trajectory as an empty point list; version 1 bodies carried
+/// every removed trajectory's points, and are still read.
+pub const VERSION: u16 = 2;
+/// The oldest snapshot format version this build reads.
+pub const MIN_VERSION: u16 = 1;
 /// Backend tag: the TQ-tree (arena serialized in the body).
 pub const BACKEND_TQTREE: u8 = 0;
 /// Backend tag: the BL point-quadtree baseline (rebuilt from the decoded
@@ -50,7 +54,7 @@ pub struct SnapshotMeta {
     pub backend: u8,
     /// Service scenario tag (0 transit / 1 point-count / 2 length).
     pub scenario: u8,
-    /// Total user trajectories, including removed tombstones.
+    /// Trajectory ids assigned, including retired (removed) ones.
     pub users: u64,
     /// Live (not removed) trajectories.
     pub live: u64,
@@ -142,7 +146,7 @@ pub fn read_header(bytes: &Bytes) -> Result<(SnapshotMeta, u64, u32), StoreError
         });
     }
     let version = r.u16()?;
-    if version != VERSION {
+    if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(StoreError::BadVersion(version));
     }
     let backend = r.u8()?;

@@ -389,15 +389,74 @@ fn live_daemon_sums_per_connection_observations() {
     handle.shutdown().expect("graceful shutdown");
 }
 
-/// Instrumentation must never touch the answer path: the same script on
-/// identical engines, metrics on versus off, is bit-identical.
+/// One arrival and one expiry per batch, the same on every call.
+fn churn(batch: u32) -> Vec<Update> {
+    let at = 100.0 + 40.0 * f64::from(batch);
+    vec![
+        Update::Remove(batch),
+        Update::Insert(Trajectory::two_point(Point::new(at, 150.0), Point::new(at + 100.0, 900.0))),
+    ]
+}
+
+/// Write-path attribution: every applied batch books one observation to
+/// each `tq_engine_apply_stage_ns` stage; the four stages nest inside the
+/// funnel's `tq_writer_batch_ns` span — the engine-side span they
+/// partition, on an in-memory engine — so they never sum to more, and on
+/// the quietest batch what they leave over (batch validation, the funnel's
+/// own bookkeeping) is clock-resolution small.
 #[test]
-fn answers_are_bit_identical_with_metrics_on_and_off() {
+fn apply_stages_partition_the_engine_side_of_a_batch() {
+    const STAGES: [&str; 4] = ["copy", "tree", "tables", "publish"];
+    let stage = |s: &obs::MetricsSnapshot, stage: &str| {
+        s.histogram("tq_engine_apply_stage_ns", &format!("stage=\"{stage}\""))
+            .map_or((0, 0), |h| (h.count, h.sum_ns))
+    };
+    let span = |s: &obs::MetricsSnapshot| {
+        s.histogram("tq_writer_batch_ns", "").map_or(0, |h| h.sum_ns)
+    };
     let _guard = lock();
     obs::set_enabled(true);
-    let on = fingerprint(&build(false).snapshot());
+    let hub = WriterHub::spawn(build(false));
+    let handle = hub.handle();
+
+    let mut leftover = Vec::new();
+    for batch in 0..20 {
+        let before = obs::snapshot();
+        handle.apply(churn(batch)).expect("funnel applies");
+        let after = obs::snapshot();
+        let mut stages_ns = 0;
+        for name in STAGES {
+            let ((c0, s0), (c1, s1)) = (stage(&before, name), stage(&after, name));
+            assert_eq!(c1 - c0, 1, "stage {name} recorded once per batch");
+            stages_ns += s1 - s0;
+        }
+        let batch_ns = span(&after) - span(&before);
+        assert!(stages_ns <= batch_ns, "stages {stages_ns} ns exceed their span {batch_ns} ns");
+        leftover.push(batch_ns - stages_ns);
+    }
+    let quietest = leftover.iter().min().expect("20 batches");
+    assert!(*quietest < 100_000, "the stages leave {quietest} ns of a batch unattributed");
+
+    hub.stop(false).expect("hub returns the engine");
+}
+
+/// Instrumentation must never touch the answer path: the same batches and
+/// the same script on identical engines, metrics on versus off, are
+/// bit-identical.
+#[test]
+fn answers_are_bit_identical_with_metrics_on_and_off() {
+    let run = || {
+        let mut engine = build(false);
+        for batch in 0..5 {
+            engine.apply(&churn(batch)).expect("batch applies");
+        }
+        fingerprint(&engine.snapshot())
+    };
+    let _guard = lock();
+    obs::set_enabled(true);
+    let on = run();
     obs::set_enabled(false);
-    let off = fingerprint(&build(false).snapshot());
+    let off = run();
     obs::set_enabled(true);
     assert_eq!(on, off, "metrics changed an answer's bits");
 }

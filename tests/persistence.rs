@@ -573,3 +573,57 @@ fn rejected_batches_are_not_logged() {
     let mut reopened = Engine::open(&dir).unwrap();
     assert_eq!(fingerprint(&mut reopened, false), want);
 }
+
+/// Every id, value bit and count the version-1 fixture's writer recorded.
+fn fixture_fingerprint(engine: &mut Engine) -> String {
+    let mut out = String::new();
+    for (id, v) in engine.run(Query::top_k(4)).unwrap().ranked() {
+        out.push_str(&format!("{id} {:016x}\n", v.to_bits()));
+    }
+    let cover = engine.run(Query::max_cov(2)).unwrap();
+    out.push_str(&format!(
+        "cover {:?} {:016x}\n",
+        cover.cover().chosen,
+        cover.cover().value.to_bits()
+    ));
+    out.push_str(&format!(
+        "epoch {} users {} live {}\n",
+        engine.epoch(),
+        engine.users().len(),
+        engine.live_users()
+    ));
+    out
+}
+
+/// `tests/fixtures/store_v1` was written by the last build whose snapshots
+/// (format version 1) carried the points of removed trajectories: five of
+/// them in the newest image, one more removed by the WAL tail. It still
+/// opens and answers with the recorded bits; the removed ids come back
+/// retired; and the next checkpoint writes a version-2 image, which
+/// reopens to the same answers.
+#[test]
+fn a_version_1_store_with_removed_trajectories_still_opens() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store_v1");
+    let want = std::fs::read_to_string(fixture.join("FINGERPRINT.txt")).unwrap();
+    let scratch = Scratch::new("store-v1");
+    let dir = scratch.join("store");
+    copy_dir(&fixture, &dir);
+
+    let mut opened = Engine::open(&dir).unwrap();
+    assert_eq!(fixture_fingerprint(&mut opened), want);
+    for removed in [3u32, 5, 17, 18, 40, 61] {
+        assert!(!opened.is_live(removed));
+        assert!(opened.users().try_get(removed).is_none(), "id {removed} kept its points");
+    }
+    assert_eq!(opened.users().present(), opened.live_users());
+
+    let version = |path: &Path| {
+        let raw = std::fs::read(path).unwrap();
+        u16::from_le_bytes([raw[4], raw[5]])
+    };
+    assert_eq!(version(&dir.join("snapshot-00000000000000000003.tqs")), 1);
+    assert_eq!(version(&opened.checkpoint().unwrap()), 2);
+    drop(opened);
+    let mut reopened = Engine::open(&dir).unwrap();
+    assert_eq!(fixture_fingerprint(&mut reopened), want);
+}
