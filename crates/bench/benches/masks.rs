@@ -14,7 +14,7 @@
 //! 2. **greedy rounds** — `k` marginal-gain rounds over the full table:
 //!    seed fold (sorted map entries, clone + union + two per-bit value
 //!    evaluations per overlapping user) versus the arena fold
-//!    (`MaskArena` streaming, `union_would_change` word test,
+//!    (`Column` streaming, `union_would_change` word test,
 //!    `value_union` without materializing). Both run single-threaded and
 //!    must pick **identical facilities with bit-identical values**; the
 //!    CI gate asserts the arena fold is **≥2x** faster (minimum of
@@ -31,7 +31,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tq_core::fasthash::FxHashMap;
 use tq_core::maxcov::{greedy, ServedTable};
-use tq_core::service::{PointMask, Scenario, ServiceModel};
+use tq_core::service::{MaskView, PointMask, Scenario, ServiceModel};
 use tq_core::tqtree::{Placement, TqTree, TqTreeConfig};
 use tq_datagen::presets;
 use tq_trajectory::{Trajectory, TrajectoryId, UserSet};
@@ -247,7 +247,7 @@ fn seed_greedy(
 }
 
 /// Converts a word-block mask to the seed representation, bit by bit.
-fn seed_from_mask(m: &PointMask) -> SeedMask {
+fn seed_from_mask(m: MaskView<'_>) -> SeedMask {
     let mut sm = SeedMask::empty(m.nbits());
     for i in 0..m.nbits() {
         if m.get(i) {
@@ -257,19 +257,13 @@ fn seed_from_mask(m: &PointMask) -> SeedMask {
     sm
 }
 
-/// Per-candidate seed entries in canonical ascending-id order.
+/// Per-candidate seed entries in canonical ascending-id order — the
+/// table's own column order.
 fn seed_entries(table: &ServedTable) -> SeedEntries {
     table
         .masks
         .iter()
-        .map(|map| {
-            let mut entries: Vec<(TrajectoryId, SeedMask)> = map
-                .iter()
-                .map(|(id, m)| (*id, seed_from_mask(m)))
-                .collect();
-            entries.sort_unstable_by_key(|(id, _)| *id);
-            entries
-        })
+        .map(|column| column.iter().map(|(id, m)| (id, seed_from_mask(m))).collect())
         .collect()
 }
 
@@ -373,7 +367,7 @@ fn bench_masks(c: &mut Criterion) {
                     mask.set(i);
                 }
             }
-            let sm = seed_from_mask(&mask);
+            let sm = seed_from_mask(mask.view());
             std::iter::once((u, mask, sm))
         })
         .collect();

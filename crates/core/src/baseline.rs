@@ -16,7 +16,7 @@
 //! The baseline produces *exactly* the same service values and masks as the
 //! TQ-tree evaluators (integration tests enforce this); only the work it
 //! performs differs. Values are summed in the canonical ascending
-//! trajectory-id order ([`crate::eval::canonical_value`]), so baseline
+//! trajectory-id order ([`crate::maxcov::Column`]), so baseline
 //! answers are **bit-identical** to the TQ-tree answers — which is what lets
 //! [`crate::engine::Engine`] treat the two as interchangeable
 //! [`crate::engine::Backend`]s and cross-check them against each other.
@@ -27,7 +27,7 @@
 
 use crate::eval::{EvalOutcome, EvalStats};
 use crate::fasthash::FxHashMap;
-use crate::maxcov::{greedy, CovOutcome, ServedTable};
+use crate::maxcov::{greedy, Column, CovOutcome, ServedTable};
 use crate::service::{PointMask, ServiceModel};
 use crate::topk::TopKOutcome;
 use tq_geometry::{Point, Rect};
@@ -126,11 +126,11 @@ impl BaselineIndex {
                 masks.insert(traj, m);
             }
         }
-        // Canonical (ascending-id) summation: bit-identical to what the
-        // TQ-tree evaluators report for the same facility.
-        let value = crate::eval::canonical_value(users, model, &masks);
+        // The same map → column conversion as the TQ-tree evaluators:
+        // bit-identical to what they report for the same facility.
+        let masks = Column::from_map(users, model, &masks);
         EvalOutcome {
-            value,
+            value: masks.value(),
             masks,
             stats,
         }
@@ -171,16 +171,9 @@ impl BaselineIndex {
         model: &ServiceModel,
         facilities: &FacilitySet,
     ) -> ServedTable {
-        let mut stats = EvalStats::default();
-        let mut ids = Vec::with_capacity(facilities.len());
-        let mut masks = Vec::with_capacity(facilities.len());
-        for (id, f) in facilities.iter() {
-            let out = self.evaluate(users, model, f);
-            stats.add(&out.stats);
-            ids.push(id);
-            masks.push(out.masks);
-        }
-        ServedTable::from_masks(users, model, ids, masks, stats)
+        let ids: Vec<FacilityId> = facilities.iter().map(|(id, _)| id).collect();
+        let outcomes = facilities.iter().map(|(_, f)| self.evaluate(users, model, f));
+        ServedTable::from_outcomes(ids, outcomes)
     }
 
     /// The paper's G-BL: straightforward greedy MaxkCovRST over baseline
@@ -248,7 +241,7 @@ mod tests {
                 assert!((got.value - want_value).abs() < 1e-9, "{scenario:?}");
                 assert_eq!(got.masks.len(), want_masks.len());
                 for (id, m) in &want_masks {
-                    assert_eq!(got.masks.get(id), Some(m));
+                    assert_eq!(got.masks.get(*id), Some(m.view()));
                 }
             }
         }

@@ -39,7 +39,7 @@
 //! 1. masks are pure geometry — a point is served iff it lies within ψ of a
 //!    stop — so patched masks equal freshly evaluated ones bit-for-bit;
 //! 2. every value this crate reports is summed in the canonical
-//!    ascending-trajectory-id order ([`crate::eval::canonical_value`]), so
+//!    ascending-trajectory-id order ([`crate::maxcov::Column`]), so
 //!    content-equal mask states yield identical floats no matter which
 //!    history produced them. (`tests/dynamic_equivalence.rs` asserts this
 //!    after every batch of seeded event traces.)

@@ -17,7 +17,8 @@
 //!   streaming [`Update`] batches ([`Engine::apply`]) by copy-on-write:
 //!   the user set, the TQ-tree and the table memo are persistent
 //!   structures, so a batch copies the tail user chunk, the q-node headers
-//!   and β-runs on the paths it writes and the touched facilities' tables;
+//!   and β-runs on the paths it writes and the table columns in which a
+//!   mask changes;
 //!   everything else is `Arc`-shared with the previous epoch, and the new
 //!   snapshot is published atomically.
 //!   Readers never wait out a batch — they keep answering on the epoch
@@ -59,16 +60,17 @@
 //!
 //! [`Engine::apply`] keeps every memoized table in sync incrementally (the
 //! [`dynamic`](crate::dynamic)-engine invalidation rule: facilities whose
-//! ψ-expanded EMBR misses every delta MBR are untouched — their tables
-//! stay `Arc`-shared with the previous epoch at zero cost — touched ones
-//! are cloned and patched delta-by-delta, heavy ones re-evaluated through
-//! the tree).
+//! ψ-expanded EMBR misses every delta MBR are untouched — their columns,
+//! and a table none of whose facilities is touched, stay `Arc`-shared with
+//! the previous epoch at zero cost — touched ones are patched
+//! delta-by-delta, copying a column only when one of its masks changes,
+//! heavy ones re-evaluated through the tree).
 //!
 //! # Bit-identity
 //!
 //! Answers are **bit-identical across backends, histories, and planes**:
 //! both backends sum service values in the canonical
-//! ascending-trajectory-id order ([`crate::eval::canonical_value`]), so
+//! ascending-trajectory-id order ([`crate::maxcov::Column`]), so
 //! `Engine` over [`Backend::TqTree`] and over [`Backend::Baseline`] return
 //! identical floats; an engine that has applied update batches answers
 //! exactly like a freshly built one; and a query run on any reader's
@@ -154,7 +156,7 @@ pub(crate) use snapshot::SnapshotSlot;
 
 use crate::baseline::BaselineIndex;
 use crate::dynamic::{BatchOutcome, Update, UpdateError, UpdateStats};
-use crate::eval::{canonical_value, EvalOutcome, EvalStats};
+use crate::eval::EvalOutcome;
 use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::maxcov::ServedTable;
 use crate::parallel;
@@ -185,7 +187,7 @@ pub const DEFAULT_REBUILD_FRACTION: f64 = 0.25;
 /// (the paper's BL reference) and [`ShardSet`] (either of them, partitioned
 /// by user); [`Backend`] dispatches between them. All implementations must
 /// report values summed in the canonical ascending-trajectory-id order
-/// ([`crate::eval::canonical_value`]) so answers are bit-identical across
+/// ([`crate::maxcov::Column`]) so answers are bit-identical across
 /// backends whenever the backends expose the same trajectory points (see
 /// the [module docs](self) for the one placement caveat).
 pub trait Index {
@@ -306,13 +308,7 @@ impl Index for BaselineIndex {
         let outcomes = parallel::par_map(candidates, |&fid| {
             BaselineIndex::evaluate(self, users, model, facilities.get(fid))
         });
-        let mut stats = EvalStats::default();
-        let mut masks = Vec::with_capacity(candidates.len());
-        for out in outcomes {
-            stats.add(&out.stats);
-            masks.push(out.masks);
-        }
-        ServedTable::from_masks(users, model, candidates.to_vec(), masks, stats)
+        ServedTable::from_outcomes(candidates.to_vec(), outcomes)
     }
 }
 
@@ -978,9 +974,10 @@ impl Engine {
     /// (copying the runs, q-node headers and tail user chunk the batch
     /// touches — not the state), brings **every memoized table** back in
     /// sync incrementally
-    /// (untouched tables stay `Arc`-shared with the previous epoch at zero
-    /// cost; touched ones are cloned and patched / re-evaluated per
-    /// facility, as counted by [`Engine::stats`]), then swaps the new
+    /// (untouched tables — and, inside a touched table, every column no
+    /// mask of which changes — stay `Arc`-shared with the previous epoch
+    /// at zero cost; the others are patched / re-evaluated per facility,
+    /// as counted by [`Engine::stats`]), then swaps the new
     /// epoch into the publication slot. Readers keep answering on the old
     /// epoch until they next ask for a snapshot; the old epoch is freed by
     /// its `Arc` refcount.
@@ -1075,7 +1072,7 @@ impl Engine {
         // clones copy a chunk directory, a node-pointer arena and a map of
         // `Arc`s, and the batch below then copies only what it writes (the
         // tail user chunk, the q-node headers on its paths, the runs it
-        // rewrites, the tables it touches).
+        // rewrites, the table columns it changes).
         let mut users = UserSet::clone(&self.snapshot.users);
         let Backend::TqTree(tree_ref) = &*self.snapshot.backend else {
             unreachable!("checked above");
@@ -1114,10 +1111,11 @@ impl Engine {
 
         // Phases 2+3 per memoized table: classify its candidates by the
         // EMBR∩delta-MBR rule. A table none of whose facilities intersect
-        // any delta keeps its Arc from the previous epoch (zero copies);
-        // a touched table is cloned once, then patched in place (cheap
-        // facilities) or rebuilt through the tree (heavy ones, fanned out
-        // across threads).
+        // any delta keeps its Arc from the previous epoch (zero copies); in
+        // a touched table a column is copied only when one of its masks
+        // changes — patched in place (cheap facilities) or replaced by a
+        // rebuild through the tree (heavy ones, fanned out across
+        // threads) — and every other column stays shared.
         let rebuild_threshold =
             (self.rebuild_fraction * users.present().max(1) as f64).ceil() as usize;
         let placement = tree.config().placement;
@@ -1139,8 +1137,9 @@ impl Engine {
                 outcome.untouched += n;
                 continue;
             }
-            // Copy-on-write: clone this table once, patch the clone.
-            let mut table = ServedTable::clone(shared);
+            // Copy-on-write of the table header: ids, values and one
+            // pointer per column.
+            let table = Arc::make_mut(shared);
             let mut rebuilds: Vec<usize> = Vec::new();
             for (ti, relevant) in relevant.iter().enumerate() {
                 if relevant.is_empty() {
@@ -1152,9 +1151,8 @@ impl Engine {
                     rebuilds.push(ti);
                     continue;
                 }
-                let fid = table.ids[ti];
-                let facility = self.snapshot.facilities.get(fid);
-                let mut changed = false;
+                let facility = self.snapshot.facilities.get(table.ids[ti]);
+                let column = &mut table.masks[ti];
                 for &&(id, inserted, _) in relevant {
                     if inserted && users.is_retired(id) {
                         // Arrived and expired within this batch: its
@@ -1170,17 +1168,16 @@ impl Engine {
                             id,
                             facility,
                         ) {
-                            table.masks[ti].insert(id, mask);
-                            changed = true;
+                            // An arrival's id is larger than every id the
+                            // column holds: the patch appends.
+                            let val = self.snapshot.model.value(users.get(id), &mask);
+                            Arc::make_mut(column).push(id, mask.view(), val);
                         }
-                    } else {
-                        changed |= table.masks[ti].remove(&id).is_some();
+                    } else if column.get(id).is_some() {
+                        Arc::make_mut(column).remove(id);
                     }
                 }
-                if changed {
-                    table.values[ti] =
-                        canonical_value(&users, &self.snapshot.model, &table.masks[ti]);
-                }
+                table.values[ti] = column.value();
                 self.stats.facilities_patched += 1;
                 outcome.patched += 1;
             }
@@ -1195,13 +1192,12 @@ impl Engine {
                     true,
                 );
                 for (&ti, out) in rebuilds.iter().zip(outcomes) {
-                    table.masks[ti] = out.masks;
+                    table.masks[ti] = Arc::new(out.masks);
                     table.values[ti] = out.value;
                 }
                 self.stats.facilities_reevaluated += rebuilds.len() as u64;
                 outcome.reevaluated += rebuilds.len();
             }
-            *shared = Arc::new(table);
         }
         self.stats.batches += 1;
         clock.lap(STAGE_TABLES);
@@ -1846,6 +1842,57 @@ mod tests {
                 .count();
             assert!(shared_nodes > 0, "setup: some node is off every touched path");
         }
+
+        // The same for the warmed table's columns, under a batch confined
+        // to one corner of the extent: trips around route 0's first stop
+        // arrive, and some that arrived there a batch earlier expire.
+        e.warm();
+        let stop = e.facilities().get(0).stops()[0];
+        let corner = Rect::new(
+            p((stop.x - 50.0).max(0.0), (stop.y - 50.0).max(0.0)),
+            p((stop.x + 50.0).min(1000.0), (stop.y + 50.0).min(1000.0)),
+        );
+        let mut local_trips = |n: usize| -> Vec<Update> {
+            let mut at = || {
+                p(
+                    rng.gen_range(corner.min.x..corner.max.x),
+                    rng.gen_range(corner.min.y..corner.max.y),
+                )
+            };
+            (0..n).map(|_| Update::Insert(Trajectory::two_point(at(), at()))).collect()
+        };
+        let earlier = e.apply(&local_trips(50)).unwrap().inserted;
+        let mut batch = local_trips(25);
+        batch.extend(earlier.iter().take(25).map(|id| Update::Remove(*id)));
+        let held = e.snapshot();
+        let recorded = answer_bits(&held);
+        e.apply(&batch).unwrap();
+        let new = e.snapshot();
+        let (before, after) = (held.full_table().unwrap(), new.full_table().unwrap());
+        let (mut untouched, mut unchanged, mut changed) = (0, 0, 0);
+        for (ti, fid) in before.ids.iter().enumerate() {
+            let shared = Arc::ptr_eq(&before.masks[ti], &after.masks[ti]);
+            if !e.embrs[*fid as usize].intersects(&corner) {
+                assert!(shared, "facility {fid} met no delta, yet its column was copied");
+                untouched += 1;
+            } else if before.masks[ti] == after.masks[ti] {
+                assert!(shared, "facility {fid}: a patch that changed no mask copied the column");
+                unchanged += 1;
+            } else {
+                assert!(!shared, "facility {fid}: epoch e's column was written in place");
+                changed += 1;
+            }
+        }
+        assert!(
+            untouched > 0 && unchanged > 0 && changed > 0,
+            "setup: {untouched} untouched / {unchanged} patched unchanged / {changed} changed"
+        );
+        // And a held epoch keeps answering from the columns it shares.
+        for _ in 0..20 {
+            let batch = random_batch(&e, 25, 25, rng);
+            e.apply(&batch).unwrap();
+        }
+        assert_eq!(answer_bits(&held), recorded, "a later batch wrote into a held column");
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub struct Snapshot {
     /// The backend index over exactly `users`.
     pub(crate) backend: Arc<Backend>,
     /// The frozen [`ServedTable`] memo, keyed by sorted candidate id list.
-    /// Individual tables are `Arc`-shared across epochs: an update batch
-    /// clones and patches only the tables whose facilities it touches.
+    /// Tables, and the columns inside them, are `Arc`-shared across
+    /// epochs: an update batch copies only the columns it changes.
     pub(crate) tables: FxHashMap<Vec<FacilityId>, Arc<ServedTable>>,
 }
 

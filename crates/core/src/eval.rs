@@ -23,6 +23,7 @@
 //! destination is served in another is correctly counted as served.
 
 use crate::fasthash::FxHashMap;
+use crate::maxcov::Column;
 use crate::service::{PointMask, Scenario, ServiceModel};
 use crate::tqtree::{
     NodeId, NodeList, Placement, ReduceMode, ReduceScratch, Runs, StoredItem, TqTree, ROOT,
@@ -90,18 +91,15 @@ pub struct EvalOutcome {
     /// The service value `SO(U, f) = Σ_u S(u, f)`.
     pub value: f64,
     /// Per-user served-point masks (only users with ≥ 1 served point).
-    pub masks: FxHashMap<TrajectoryId, PointMask>,
+    pub masks: Column,
     /// Instrumentation counters.
     pub stats: EvalStats,
 }
 
 impl EvalOutcome {
     /// Number of users with a strictly positive service value.
-    pub fn users_served(&self, users: &UserSet, model: &ServiceModel) -> usize {
-        self.masks
-            .iter()
-            .filter(|(id, mask)| model.value(users.get(**id), mask) > 0.0)
-            .count()
+    pub fn users_served(&self) -> usize {
+        self.masks.users_served()
     }
 }
 
@@ -308,50 +306,19 @@ impl EvalState {
         }
     }
 
-    /// Finalizes into an [`EvalOutcome`], recomputing the value from the
-    /// masks in the canonical ascending-id order ([`canonical_value`]) —
-    /// immune both to floating-point drift of the running deltas and to
-    /// summation-order differences between evaluation histories.
+    /// Finalizes into an [`EvalOutcome`]: the scratch map becomes a
+    /// [`Column`] — sorted by trajectory id here, once — and the value is
+    /// the column's fold, immune both to floating-point drift of the
+    /// running deltas and to summation-order differences between evaluation
+    /// histories.
     pub fn finish(self, ctx: &EvalCtx<'_>) -> EvalOutcome {
-        let value = canonical_value(ctx.users, &ctx.model, &self.masks);
+        let masks = Column::from_map(ctx.users, &ctx.model, &self.masks);
         EvalOutcome {
-            value,
-            masks: self.masks,
+            value: masks.value(),
+            masks,
             stats: self.stats,
         }
     }
-}
-
-/// Canonical service-value summation: `Σ_u S(u, ·)` over a mask map,
-/// accumulated in **ascending trajectory id** order.
-///
-/// Floating-point addition is not associative, so the same set of per-user
-/// values summed in different orders can differ in the last bits. Every
-/// finalized value this crate reports (evaluation outcomes, kMaxRRST exact
-/// values, [`crate::maxcov::ServedTable`] values, the tables
-/// [`Engine::apply`](crate::engine::Engine::apply) maintains incrementally,
-/// merged sharded tables) goes through this one function,
-/// which fixes the order by content — so *any* two states with identical
-/// mask contents report bit-identical values, no matter what history
-/// (bulk build, incremental updates, different tree shapes) produced them.
-pub fn canonical_value(
-    users: &UserSet,
-    model: &ServiceModel,
-    masks: &FxHashMap<TrajectoryId, PointMask>,
-) -> f64 {
-    let mut ids: Vec<TrajectoryId> = masks.keys().copied().collect();
-    ids.sort_unstable();
-    let sum: f64 = ids
-        .iter()
-        .map(|id| model.value(users.get(*id), &masks[id]))
-        .sum();
-    // `f64::sum` folds from the identity -0.0, so an empty map sums to -0.0
-    // while a map of only zero-value entries sums to +0.0. Two evaluation
-    // histories can legitimately differ in which zero-value masks they
-    // materialize (pruning may skip unservable users entirely); normalize
-    // so both report bit-identical +0.0. `x + 0.0` is bitwise identity for
-    // every other x.
-    sum + 0.0
 }
 
 fn run(tree: &TqTree, users: &UserSet, model: &ServiceModel, f: &Facility, exact: bool) -> EvalOutcome {
@@ -549,8 +516,8 @@ mod tests {
                 assert_eq!(got.masks.len(), want.len(), "{placement:?} mask count");
                 for (id, m) in &want {
                     assert_eq!(
-                        got.masks.get(id),
-                        Some(m),
+                        got.masks.get(*id),
+                        Some(m.view()),
                         "{placement:?} mask for user {id}"
                     );
                 }
@@ -575,7 +542,7 @@ mod tests {
             let want = brute_force_masks(&users, &model, &f);
             assert_eq!(got.masks.len(), want.len(), "{scenario:?}");
             for (id, m) in &want {
-                assert_eq!(got.masks.get(id), Some(m), "{scenario:?} user {id}");
+                assert_eq!(got.masks.get(*id), Some(m.view()), "{scenario:?} user {id}");
             }
         }
     }
@@ -626,7 +593,7 @@ mod tests {
         let f = Facility::new(vec![p(0.0, 0.5), p(10.0, 0.5)]);
         let out = evaluate_service(&tree, &users, &model, &f);
         assert_eq!(out.value, 1.0);
-        assert_eq!(out.users_served(&users, &model), 1);
+        assert_eq!(out.users_served(), 1);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub use engine::{
     Explain, Index, PlaneInfo, Query, QueryResult, Reader, Snapshot,
 };
 pub use eval::{
-    brute_force_masks, brute_force_value, canonical_value, evaluate_masks, evaluate_service,
+    brute_force_masks, brute_force_value, evaluate_masks, evaluate_service,
     EvalOutcome, EvalStats, FacilityComponent,
 };
 pub use parallel::{
@@ -98,7 +98,7 @@ pub use parallel::{
 };
 pub use persist::{PersistStatus, StoreConfig, SyncPolicy};
 pub use serve::{ClientStats, ServeConfig, ServeReport, Workload};
-pub use maxcov::{CovOutcome, Coverage, GeneticConfig, MaskArena, ServedTable};
+pub use maxcov::{Column, CovOutcome, Coverage, GeneticConfig, ServedTable};
 pub use service::{MaskSizeMismatch, MaskView, PointMask, Scenario, ServiceBounds, ServiceModel};
 pub use sharding::{Partitioner, ShardSet, ShardedEngine};
 pub use topk::{top_k_facilities, TopKOutcome};

@@ -44,16 +44,15 @@ pub fn exact(
     // Admissible per-facility potential: Σ max_value(u) over touched users.
     // Marginal gain under ANY coverage state is at most this (each touched
     // user contributes at most its max value, untouched users contribute 0).
-    // Summed in ascending-id order (not hash-map order) so the candidate
-    // ordering — and with it the search — is deterministic for any two
-    // content-equal tables, e.g. across engine backends.
+    // Summed in the columns' ascending-id order, so the candidate ordering
+    // — and with it the search — is deterministic for any two content-equal
+    // tables, e.g. across engine backends.
     let potentials: Vec<f64> = table
         .masks
         .iter()
-        .map(|m| {
-            let mut ids: Vec<_> = m.keys().copied().collect();
-            ids.sort_unstable();
-            ids.iter()
+        .map(|col| {
+            col.ids()
+                .iter()
                 .map(|id| model.max_value(users.get(*id)))
                 .sum::<f64>()
         })
@@ -80,13 +79,8 @@ pub fn exact(
         .map(|fid| table.ids.iter().position(|i| i == fid).expect("greedy id"))
         .collect();
 
-    // Canonical per-candidate entries flattened into one word arena,
-    // computed once: the DFS re-adds the same immutable masks at every node
-    // of the search.
-    let arena = super::MaskArena::from_table(table);
-
     struct Dfs<'a> {
-        arena: &'a super::MaskArena,
+        table: &'a ServedTable,
         users: &'a UserSet,
         model: &'a ServiceModel,
         order: &'a [usize],
@@ -136,8 +130,7 @@ pub fn exact(
                     return;
                 }
                 let cand = self.order[i];
-                let undo =
-                    cov.add_undoable_views(self.users, self.model, self.arena.candidate(cand));
+                let undo = cov.add_undoable(self.users, self.model, &self.table.masks[cand]);
                 chosen.push(cand);
                 self.run(i + 1, chosen, cov);
                 chosen.pop();
@@ -147,7 +140,7 @@ pub fn exact(
     }
 
     let mut dfs = Dfs {
-        arena: &arena,
+        table,
         users,
         model,
         order: &order,

@@ -21,18 +21,31 @@
 //! The overlap-aware aggregation `AGG` is realized by [`Coverage`]: the
 //! union of per-user served-point masks, under which every scenario's value
 //! function is monotone.
+//!
+//! Served masks have **one resident form**, the [`Column`]: a facility's
+//! `(trajectory, mask, value)` entries flat and sorted by trajectory id. An
+//! evaluation turns its scratch hash map into a column once, when it
+//! finishes ([`Column::from_map`]); from there on — the [`ServedTable`] a
+//! query builds, the table an engine keeps warm and patches per batch, the
+//! snapshot codec, a sharded merge, every solver — code only streams
+//! columns, so no consumer sorts, hashes or re-values a mask again.
 
+mod column;
 pub mod exact;
 pub mod genetic;
 pub mod greedy;
+#[cfg(test)]
+mod proptests;
 
-use crate::eval::EvalStats;
+use crate::eval::{EvalOutcome, EvalStats};
 use crate::fasthash::FxHashMap;
 use crate::parallel;
-use crate::service::{MaskSizeMismatch, MaskView, PointMask, ServiceModel};
+use crate::service::{MaskSizeMismatch, PointMask, ServiceModel};
 use crate::tqtree::TqTree;
+use std::sync::Arc;
 use tq_trajectory::{FacilityId, FacilitySet, TrajectoryId, UserSet};
 
+pub use column::Column;
 pub use exact::exact;
 pub use genetic::{genetic, GeneticConfig};
 pub use greedy::{greedy, two_step_greedy};
@@ -42,13 +55,19 @@ pub use greedy::{greedy, two_step_greedy};
 ///
 /// Built once per query; the builder is what distinguishes the paper's
 /// method families (baseline vs TQ(B) vs TQ(Z) evaluation).
+///
+/// The table *is* the solvers' arena: each candidate's masks are one
+/// [`Column`], streamed in place. Columns sit behind `Arc`s so that a clone
+/// of a table — and the next epoch of a table
+/// [`Engine::apply`](crate::engine::Engine::apply) patched — shares every
+/// column that did not change.
 #[derive(Debug, Clone)]
 pub struct ServedTable {
     /// Candidate facility ids, parallel to `masks` / `values`.
     pub ids: Vec<FacilityId>,
     /// Per-candidate served masks.
-    pub masks: Vec<FxHashMap<TrajectoryId, PointMask>>,
-    /// Per-candidate individual service values.
+    pub masks: Vec<Arc<Column>>,
+    /// Per-candidate individual service values ([`Column::value`]).
     pub values: Vec<f64>,
     /// Aggregated evaluation counters.
     pub stats: EvalStats,
@@ -82,20 +101,7 @@ impl ServedTable {
     ) -> ServedTable {
         let outcomes =
             parallel::par_evaluate_candidates(tree, users, model, facilities, candidates, true);
-        let mut masks = Vec::with_capacity(candidates.len());
-        let mut values = Vec::with_capacity(candidates.len());
-        let mut stats = EvalStats::default();
-        for out in outcomes {
-            stats.add(&out.stats);
-            values.push(out.value);
-            masks.push(out.masks);
-        }
-        ServedTable {
-            ids: candidates.to_vec(),
-            masks,
-            values,
-            stats,
-        }
+        Self::from_outcomes(candidates.to_vec(), outcomes)
     }
 
     /// [`ServedTable::build`] with an explicit thread count (`1` forces the
@@ -111,19 +117,21 @@ impl ServedTable {
         parallel::with_threads(threads, || Self::build(tree, users, model, facilities))
     }
 
-    /// Builds a table from externally computed masks (used by the baseline
-    /// crate so `G-BL` flows through the same solvers).
-    pub fn from_masks(
-        users: &UserSet,
-        model: &ServiceModel,
+    /// Collects per-candidate evaluation outcomes (parallel to `ids`) into a
+    /// table — every backend's table build ends here, so `G-BL` flows
+    /// through the same solvers.
+    pub(crate) fn from_outcomes(
         ids: Vec<FacilityId>,
-        masks: Vec<FxHashMap<TrajectoryId, PointMask>>,
-        stats: EvalStats,
+        outcomes: impl IntoIterator<Item = EvalOutcome>,
     ) -> ServedTable {
-        let values = masks
-            .iter()
-            .map(|m| crate::eval::canonical_value(users, model, m))
-            .collect();
+        let mut masks = Vec::with_capacity(ids.len());
+        let mut values = Vec::with_capacity(ids.len());
+        let mut stats = EvalStats::default();
+        for out in outcomes {
+            stats.add(&out.stats);
+            values.push(out.value);
+            masks.push(Arc::new(out.masks));
+        }
         ServedTable {
             ids,
             masks,
@@ -142,132 +150,6 @@ impl ServedTable {
         self.ids.is_empty()
     }
 }
-
-/// Returns a mask map's entries sorted by ascending trajectory id — the
-/// canonical accumulation order shared with
-/// [`canonical_value`](crate::eval::canonical_value).
-pub(crate) fn sorted_entries(
-    masks: &FxHashMap<TrajectoryId, PointMask>,
-) -> Vec<(TrajectoryId, &PointMask)> {
-    let mut entries: Vec<(TrajectoryId, &PointMask)> =
-        masks.iter().map(|(id, m)| (*id, m)).collect();
-    entries.sort_unstable_by_key(|(id, _)| *id);
-    entries
-}
-
-/// Adapts sorted `(id, &mask)` entries to the streamed-view form the
-/// [`Coverage`] kernels take.
-fn entry_views<'a>(
-    entries: &'a [(TrajectoryId, &'a PointMask)],
-) -> impl Iterator<Item = (TrajectoryId, MaskView<'a>)> {
-    entries.iter().map(|&(id, m)| (id, m.view()))
-}
-
-/// Every candidate's served masks flattened into one contiguous word arena,
-/// in canonical (ascending trajectory id) order per candidate — built **once
-/// per solve**.
-///
-/// The solvers' inner loops (greedy rounds, genetic fitness, branch-and-bound
-/// nodes) re-visit the same immutable masks thousands of times; walking a
-/// hash map of boxed masks per visit pointer-chases all over the heap. The
-/// arena stores every candidate's `(trajectory, mask)` entries back to back —
-/// ids and offsets in one vector, all mask words in another — so scoring one
-/// candidate is a single linear sweep through memory.
-#[derive(Debug, Clone)]
-pub struct MaskArena {
-    /// All candidates' live mask words, concatenated.
-    words: Vec<u64>,
-    /// All candidates' entries, concatenated: id, word offset, point count.
-    entries: Vec<ArenaEntry>,
-    /// Per-candidate `entries` span.
-    ranges: Vec<(u32, u32)>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ArenaEntry {
-    id: TrajectoryId,
-    off: u32,
-    nbits: u32,
-}
-
-impl MaskArena {
-    /// Flattens one mask map per candidate, each in canonical ascending-id
-    /// order (the accumulation order of
-    /// [`canonical_value`](crate::eval::canonical_value)).
-    pub fn from_maps<'a>(
-        maps: impl IntoIterator<Item = &'a FxHashMap<TrajectoryId, PointMask>>,
-    ) -> MaskArena {
-        let mut arena = MaskArena {
-            words: Vec::new(),
-            entries: Vec::new(),
-            ranges: Vec::new(),
-        };
-        for map in maps {
-            let start = arena.entries.len() as u32;
-            for (id, mask) in sorted_entries(map) {
-                let off = arena.words.len() as u32;
-                arena.words.extend_from_slice(mask.view().words());
-                arena.entries.push(ArenaEntry {
-                    id,
-                    off,
-                    nbits: mask.nbits() as u32,
-                });
-            }
-            arena.ranges.push((start, arena.entries.len() as u32));
-        }
-        arena
-    }
-
-    /// The arena of a full [`ServedTable`] (one candidate per table row).
-    pub fn from_table(table: &ServedTable) -> MaskArena {
-        Self::from_maps(table.masks.iter())
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Returns `true` when the arena has no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// Streams candidate `ci`'s `(trajectory, mask)` entries in canonical
-    /// ascending-id order.
-    pub fn candidate(&self, ci: usize) -> ArenaCandidate<'_> {
-        let (start, end) = self.ranges[ci];
-        ArenaCandidate {
-            arena: self,
-            idx: start as usize..end as usize,
-        }
-    }
-}
-
-/// Iterator over one arena candidate's `(TrajectoryId, MaskView)` entries.
-#[derive(Debug, Clone)]
-pub struct ArenaCandidate<'a> {
-    arena: &'a MaskArena,
-    idx: std::ops::Range<usize>,
-}
-
-impl<'a> Iterator for ArenaCandidate<'a> {
-    type Item = (TrajectoryId, MaskView<'a>);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        let e = self.arena.entries[self.idx.next()?];
-        let nwords = (e.nbits as usize).div_ceil(64);
-        let words = &self.arena.words[e.off as usize..e.off as usize + nwords];
-        Some((e.id, MaskView::new(e.nbits as usize, words)))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.idx.size_hint()
-    }
-}
-
-impl ExactSizeIterator for ArenaCandidate<'_> {}
 
 /// Undo journal for one [`Coverage::add`] (used by the branch-and-bound
 /// solver to backtrack cheaply).
@@ -304,40 +186,20 @@ impl Coverage {
             .count()
     }
 
-    /// The marginal gain of adding `facility_masks`, without applying it.
+    /// The marginal gain of adding a facility's `column`, without applying
+    /// it.
     ///
-    /// Per-user gains accumulate in ascending trajectory id order (the same
-    /// canonical order as [`crate::eval::canonical_value`]), so the gain is
-    /// bit-identical for any two content-equal mask maps regardless of their
-    /// internal hash-map layout.
-    pub fn marginal(
-        &self,
-        users: &UserSet,
-        model: &ServiceModel,
-        facility_masks: &FxHashMap<TrajectoryId, PointMask>,
-    ) -> f64 {
-        self.marginal_views(users, model, entry_views(&sorted_entries(facility_masks)))
-    }
-
-    /// [`Coverage::marginal`] over streamed views in canonical ascending-id
-    /// order (as produced by [`MaskArena::candidate`]). Callers evaluating
-    /// the same facility repeatedly — every greedy round re-scores every
-    /// remaining candidate — flatten once into an arena and stream instead
-    /// of paying the sort per call.
-    ///
-    /// This path never materializes a union: a streamed
+    /// Per-user gains accumulate in the column's ascending trajectory id
+    /// order, so the gain is bit-identical for any two content-equal
+    /// columns. Every greedy round re-scores every remaining candidate, so
+    /// this path never materializes a union: a streamed
     /// [`PointMask::union_would_change`] word test decides whether the user
     /// can gain at all, and [`ServiceModel::value_union`] evaluates the
     /// would-be union directly from the two word sets — bit-identical to
     /// cloning and unioning, without the allocation.
-    pub fn marginal_views<'a>(
-        &self,
-        users: &UserSet,
-        model: &ServiceModel,
-        entries: impl IntoIterator<Item = (TrajectoryId, MaskView<'a>)>,
-    ) -> f64 {
+    pub fn marginal(&self, users: &UserSet, model: &ServiceModel, column: &Column) -> f64 {
         let mut gain = 0.0;
-        for (id, fview) in entries {
+        for (id, fview) in column.iter() {
             let t = users.get(id);
             match self.masks.get(&id) {
                 None => gain += model.value_view(t, fview),
@@ -351,14 +213,9 @@ impl Coverage {
         gain
     }
 
-    /// Adds a facility's masks, returning the realized marginal gain.
-    pub fn add(
-        &mut self,
-        users: &UserSet,
-        model: &ServiceModel,
-        facility_masks: &FxHashMap<TrajectoryId, PointMask>,
-    ) -> f64 {
-        self.add_with_undo_views(users, model, entry_views(&sorted_entries(facility_masks)), None)
+    /// Adds a facility's `column`, returning the realized marginal gain.
+    pub fn add(&mut self, users: &UserSet, model: &ServiceModel, column: &Column) -> f64 {
+        self.add_with_undo(users, model, column, None)
     }
 
     /// [`Coverage::add`] with the mask sizes validated up front: when any
@@ -372,32 +229,21 @@ impl Coverage {
         &mut self,
         users: &UserSet,
         model: &ServiceModel,
-        facility_masks: &FxHashMap<TrajectoryId, PointMask>,
+        column: &Column,
     ) -> Result<f64, MaskSizeMismatch> {
-        let entries = sorted_entries(facility_masks);
-        for &(id, fmask) in &entries {
+        for (id, fview) in column.iter() {
             let expect = match self.masks.get(&id) {
                 Some(cur) => cur.nbits(),
                 None => users.get(id).len(),
             };
-            if fmask.nbits() != expect {
+            if fview.nbits() != expect {
                 return Err(MaskSizeMismatch {
                     dst: expect,
-                    src: fmask.nbits(),
+                    src: fview.nbits(),
                 });
             }
         }
-        Ok(self.add_with_undo_views(users, model, entry_views(&entries), None))
-    }
-
-    /// [`Coverage::add`] over streamed views (see [`MaskArena::candidate`]).
-    pub fn add_views<'a>(
-        &mut self,
-        users: &UserSet,
-        model: &ServiceModel,
-        entries: impl IntoIterator<Item = (TrajectoryId, MaskView<'a>)>,
-    ) -> f64 {
-        self.add_with_undo_views(users, model, entries, None)
+        Ok(self.add_with_undo(users, model, column, None))
     }
 
     /// Like [`Coverage::add`], recording an undo journal.
@@ -405,35 +251,25 @@ impl Coverage {
         &mut self,
         users: &UserSet,
         model: &ServiceModel,
-        facility_masks: &FxHashMap<TrajectoryId, PointMask>,
-    ) -> CoverageUndo {
-        self.add_undoable_views(users, model, entry_views(&sorted_entries(facility_masks)))
-    }
-
-    /// [`Coverage::add_undoable`] over streamed views.
-    pub fn add_undoable_views<'a>(
-        &mut self,
-        users: &UserSet,
-        model: &ServiceModel,
-        entries: impl IntoIterator<Item = (TrajectoryId, MaskView<'a>)>,
+        column: &Column,
     ) -> CoverageUndo {
         let mut undo = CoverageUndo {
             changed: Vec::new(),
             old_value: self.value,
         };
-        self.add_with_undo_views(users, model, entries, Some(&mut undo));
+        self.add_with_undo(users, model, column, Some(&mut undo));
         undo
     }
 
-    fn add_with_undo_views<'a>(
+    fn add_with_undo(
         &mut self,
         users: &UserSet,
         model: &ServiceModel,
-        entries: impl IntoIterator<Item = (TrajectoryId, MaskView<'a>)>,
+        column: &Column,
         mut undo: Option<&mut CoverageUndo>,
     ) -> f64 {
         let mut gain = 0.0;
-        for (id, fview) in entries {
+        for (id, fview) in column.iter() {
             let t = users.get(id);
             match self.masks.get_mut(&id) {
                 None => {
@@ -481,7 +317,7 @@ impl Coverage {
     }
 
     /// Combined value of an arbitrary subset of table candidates, computed
-    /// from scratch (used for genetic fitness and tests).
+    /// from scratch (the genetic solver's fitness, and tests).
     pub fn value_of_subset(
         table: &ServedTable,
         users: &UserSet,
@@ -491,21 +327,6 @@ impl Coverage {
         let mut cov = Coverage::new();
         for &i in subset {
             cov.add(users, model, &table.masks[i]);
-        }
-        cov.value()
-    }
-
-    /// [`Coverage::value_of_subset`] streaming candidates out of a
-    /// pre-built [`MaskArena`] — the genetic solver's fitness hot path.
-    pub fn value_of_subset_arena(
-        arena: &MaskArena,
-        users: &UserSet,
-        model: &ServiceModel,
-        subset: &[usize],
-    ) -> f64 {
-        let mut cov = Coverage::new();
-        for &i in subset {
-            cov.add_views(users, model, arena.candidate(i));
         }
         cov.value()
     }
@@ -606,54 +427,20 @@ mod tests {
     fn try_add_rejects_mismatched_masks_without_mutating() {
         let users = UserSet::from_vec(vec![Trajectory::two_point(p(0.0, 0.0), p(4.0, 0.0))]);
         let model = ServiceModel::new(Scenario::Transit, 1.0);
-        let mut good = FxHashMap::default();
         let mut mask = PointMask::empty(2);
         mask.set(0);
         mask.set(1);
-        good.insert(0u32, mask);
+        let mut good = Column::default();
+        good.push(0, mask.view(), 1.0);
         let mut cov = Coverage::new();
         assert_eq!(cov.try_add(&users, &model, &good), Ok(1.0));
         // A decoded mask claiming the wrong point count must be refused
         // with the typed error, leaving the coverage untouched.
-        let mut bad = FxHashMap::default();
-        bad.insert(0u32, PointMask::empty(130));
+        let mut bad = Column::default();
+        bad.push(0, PointMask::empty(130).view(), 0.0);
         let err = cov.try_add(&users, &model, &bad).unwrap_err();
         assert_eq!(err, crate::service::MaskSizeMismatch { dst: 2, src: 130 });
         assert_eq!(cov.value(), 1.0);
-    }
-
-    #[test]
-    fn arena_streams_canonical_entries() {
-        let users = UserSet::from_vec(vec![
-            Trajectory::two_point(p(0.0, 0.0), p(4.0, 0.0)),
-            Trajectory::two_point(p(1.0, 0.0), p(5.0, 0.0)),
-        ]);
-        let model = ServiceModel::new(Scenario::PointCount, 2.0);
-        let facilities = FacilitySet::from_vec(vec![
-            Facility::new(vec![p(0.0, 0.5), p(4.0, 0.5)]),
-            Facility::new(vec![p(5.0, 0.5)]),
-        ]);
-        let tree = TqTree::build(&users, crate::tqtree::TqTreeConfig::default());
-        let table = ServedTable::build(&tree, &users, &model, &facilities);
-        let arena = MaskArena::from_table(&table);
-        assert_eq!(arena.len(), table.len());
-        for ci in 0..table.len() {
-            let streamed: Vec<(TrajectoryId, PointMask)> = arena
-                .candidate(ci)
-                .map(|(id, v)| (id, v.to_mask()))
-                .collect();
-            let sorted: Vec<(TrajectoryId, PointMask)> = sorted_entries(&table.masks[ci])
-                .into_iter()
-                .map(|(id, m)| (id, m.clone()))
-                .collect();
-            assert_eq!(streamed, sorted, "candidate {ci}");
-            // And the streamed marginal agrees bitwise with the map-based one.
-            let cov = Coverage::new();
-            assert_eq!(
-                cov.marginal_views(&users, &model, arena.candidate(ci)).to_bits(),
-                cov.marginal(&users, &model, &table.masks[ci]).to_bits(),
-            );
-        }
     }
 
     #[test]
@@ -716,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn table_from_masks_computes_values() {
+    fn table_from_outcomes_carries_column_values() {
         let users = UserSet::from_vec(vec![Trajectory::two_point(p(0.0, 0.0), p(4.0, 0.0))]);
         let model = ServiceModel::new(Scenario::Transit, 1.0);
         let mut m = FxHashMap::default();
@@ -724,8 +511,13 @@ mod tests {
         mask.set(0);
         mask.set(1);
         m.insert(0u32, mask);
-        let table =
-            ServedTable::from_masks(&users, &model, vec![7], vec![m], EvalStats::default());
+        let masks = Column::from_map(&users, &model, &m);
+        let out = EvalOutcome {
+            value: masks.value(),
+            masks,
+            stats: EvalStats::default(),
+        };
+        let table = ServedTable::from_outcomes(vec![7], [out]);
         assert_eq!(table.values, vec![1.0]);
         assert_eq!(table.ids, vec![7]);
         assert_eq!(table.len(), 1);

@@ -83,9 +83,8 @@ use crate::baseline::BaselineIndex;
 use crate::dynamic::Update;
 use crate::engine::{Backend, Engine, EngineError};
 use crate::eval::EvalStats;
-use crate::fasthash::FxHashMap;
-use crate::maxcov::ServedTable;
-use crate::service::{PointMask, Scenario, ServiceModel};
+use crate::maxcov::{Column, ServedTable};
+use crate::service::{MaskView, PointMask, Scenario, ServiceModel};
 use crate::tqtree::{self, Placement};
 use crate::engine::Snapshot;
 use bytes::{BufMut, BytesMut};
@@ -245,9 +244,9 @@ pub fn decode_update_batch(payload: &[u8]) -> Result<Vec<Update>, StoreError> {
 /// that holds it (tags 1–4), longer masks write tag 5 plus exactly their
 /// `⌈n/64⌉` live words (the in-memory cache-line padding is never encoded).
 /// Snapshots recorded by the old `Small`/`Large` enum decode byte-for-byte.
-fn put_mask(m: &PointMask, buf: &mut BytesMut) {
+pub(crate) fn put_mask(m: MaskView<'_>, buf: &mut BytesMut) {
     if m.nbits() <= 64 {
-        let word = m.view().words().first().copied().unwrap_or(0);
+        let word = m.words().first().copied().unwrap_or(0);
         if word <= u8::MAX as u64 {
             buf.put_u8(1);
             buf.put_u8(word as u8);
@@ -262,7 +261,7 @@ fn put_mask(m: &PointMask, buf: &mut BytesMut) {
             buf.put_u64_le(word);
         }
     } else {
-        let words = m.view().words();
+        let words = m.words();
         buf.put_u8(5);
         buf.put_u32_le(words.len() as u32);
         for w in words {
@@ -309,27 +308,14 @@ fn get_mask(r: &mut Reader, n_points: usize) -> Result<PointMask, StoreError> {
 /// artifact a *serving* cold start otherwise re-evaluates from scratch.
 ///
 /// Layout: per facility (ids are implicit — a full table is `0..n` by
-/// construction), one length-prefixed blob holding the value and the
-/// served-mask entries, delta-varint-coded in ascending trajectory order
-/// (hash-map iteration order is not canonical; sorting also buys the
-/// 1-byte deltas). The length prefixes are what let [`get_table`] hand
-/// each facility's blob to a different thread.
+/// construction), one length-prefixed blob ([`put_column`]). The length
+/// prefixes are what let [`get_table`] hand each facility's blob to a
+/// different thread.
 fn put_table(table: &ServedTable, buf: &mut BytesMut) {
     buf.put_u32_le(table.ids.len() as u32);
     let mut blob = BytesMut::with_capacity(1 << 16);
-    for (i, _) in table.ids.iter().enumerate() {
-        blob.put_f64_le(table.values[i]);
-        let mut entries: Vec<(&u32, &PointMask)> = table.masks[i].iter().collect();
-        entries.sort_by_key(|(id, _)| **id);
-        put_varint_u32(&mut blob, entries.len() as u32);
-        let mut prev: u32 = 0;
-        for (&traj, mask) in entries {
-            // First delta is from 0, later ones from predecessor + 1
-            // (ids strictly increase).
-            put_varint_u32(&mut blob, traj - prev);
-            prev = traj + 1;
-            put_mask(mask, &mut blob);
-        }
+    for (value, column) in table.values.iter().zip(&table.masks) {
+        put_column(*value, column, &mut blob);
         buf.put_u32_le(blob.len() as u32);
         buf.put_slice(blob.as_ref());
         blob.clear(); // keep the allocation for the next facility
@@ -345,11 +331,29 @@ fn put_table(table: &ServedTable, buf: &mut BytesMut) {
     }
 }
 
-/// Decodes one facility's blob of [`put_table`].
-fn get_facility_blob(
+/// One facility's blob: its value, then the served-mask entries
+/// delta-varint-coded in the column's ascending trajectory order (which
+/// buys the 1-byte deltas). The per-user values a column caches are not
+/// encoded; [`get_column`] recomputes them.
+pub(crate) fn put_column(value: f64, column: &Column, blob: &mut BytesMut) {
+    blob.put_f64_le(value);
+    put_varint_u32(blob, column.len() as u32);
+    let mut prev: u32 = 0;
+    for (traj, mask) in column.iter() {
+        // First delta is from 0, later ones from predecessor + 1
+        // (ids strictly increase).
+        put_varint_u32(blob, traj - prev);
+        prev = traj + 1;
+        put_mask(mask, blob);
+    }
+}
+
+/// Decodes one facility's blob of [`put_column`].
+pub(crate) fn get_column(
     blob: &bytes::Bytes,
     users: &UserSet,
-) -> Result<(f64, FxHashMap<TrajectoryId, PointMask>), StoreError> {
+    model: &ServiceModel,
+) -> Result<(f64, Column), StoreError> {
     let mut r = Reader::new(blob.clone());
     let value = r.f64()?;
     let entries = r.varint_u32()? as usize;
@@ -359,8 +363,7 @@ fn get_facility_blob(
             r.remaining()
         )));
     }
-    let mut map: FxHashMap<TrajectoryId, PointMask> = FxHashMap::default();
-    map.reserve(entries);
+    let mut column = Column::default();
     let mut next: u64 = 0;
     for _ in 0..entries {
         let traj = next + r.varint_u32()? as u64;
@@ -375,15 +378,17 @@ fn get_facility_blob(
             .try_get(traj as u32)
             .ok_or_else(|| corrupt(format!("mask entry names removed trajectory {traj}")))?;
         let mask = get_mask(&mut r, t.len())?;
-        map.insert(traj as u32, mask);
+        // The delta coding makes the ids strictly ascending: a push.
+        column.push(traj as u32, mask.view(), model.value(t, &mask));
     }
     r.finish()?;
-    Ok((value, map))
+    Ok((value, column))
 }
 
 fn get_table(
     r: &mut Reader,
     users: &UserSet,
+    model: &ServiceModel,
     n_facilities: usize,
 ) -> Result<ServedTable, StoreError> {
     let n = r.count(4)?;
@@ -397,15 +402,15 @@ fn get_table(
         let len = r.u32()? as usize;
         blobs.push(r.take(len)?);
     }
-    // Blobs are independent — fan the map reconstruction out (this is the
-    // bulkiest section of a warmed snapshot).
-    let decoded = crate::parallel::par_map(&blobs, |blob| get_facility_blob(blob, users));
+    // Blobs are independent — fan the column reconstruction out (this is
+    // the bulkiest section of a warmed snapshot).
+    let decoded = crate::parallel::par_map(&blobs, |blob| get_column(blob, users, model));
     let mut values = Vec::with_capacity(n);
     let mut masks = Vec::with_capacity(n);
     for d in decoded {
-        let (value, map) = d?;
+        let (value, column) = d?;
         values.push(value);
-        masks.push(map);
+        masks.push(Arc::new(column));
     }
     let mut stats_fields = [0usize; 5];
     for f in &mut stats_fields {
@@ -589,7 +594,7 @@ pub(crate) fn decode_engine(
     };
     let full_table = match r.u8()? {
         0 => None,
-        1 => Some(get_table(&mut r, &users, facilities.len())?),
+        1 => Some(get_table(&mut r, &users, &model, facilities.len())?),
         other => return Err(corrupt(format!("table tag {other}"))),
     };
     r.finish()?;

@@ -36,8 +36,8 @@
 //!   (float addition is order-sensitive).
 //!
 //! [`MaskView`] is the borrowed form of a mask (length + word slice); it lets
-//! solver hot paths stream masks out of a flat arena
-//! ([`crate::maxcov::MaskArena`]) without per-user allocations, and
+//! solver hot paths stream masks out of a flat column
+//! ([`crate::maxcov::Column`]) without per-user allocations, and
 //! [`ServiceModel::value_union`] evaluates the value of the OR of two masks
 //! without materializing it.
 
@@ -96,7 +96,7 @@ impl ServiceModel {
     }
 
     /// [`ServiceModel::value`] over a borrowed [`MaskView`] — the form the
-    /// solver hot paths use to stream masks out of a flat arena.
+    /// solver hot paths use to stream masks out of a flat column.
     pub fn value_view(&self, u: &Trajectory, mask: MaskView<'_>) -> f64 {
         debug_assert_eq!(mask.nbits(), u.len(), "mask/trajectory length mismatch");
         match self.scenario {
@@ -474,9 +474,9 @@ impl PointMask {
 
 /// A borrowed mask: point count plus exactly `⌈nbits / 64⌉` live words.
 ///
-/// This is how the solvers stream masks out of the flat
-/// [`crate::maxcov::MaskArena`] — same kernels, no per-mask ownership.
-#[derive(Debug, Clone, Copy)]
+/// This is how the solvers stream masks out of a flat
+/// [`crate::maxcov::Column`] — same kernels, no per-mask ownership.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaskView<'a> {
     nbits: u32,
     words: &'a [u64],

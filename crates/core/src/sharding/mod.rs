@@ -6,15 +6,15 @@
 //! # Why sharding composes exactly
 //!
 //! Everything a query answers is derived from per-user served-point
-//! masks, and every reported value is a [`canonical
-//! summation`](crate::eval::canonical_value) of per-user values in
-//! ascending trajectory-id order. Users live on exactly one shard and
-//! shard-local ids are assigned in ascending *global*-id order, so:
+//! masks, and every reported value is the fold of a
+//! [`Column`](crate::maxcov::Column) — per-user values in ascending
+//! trajectory-id order. Users live on exactly one shard and shard-local
+//! ids are assigned in ascending *global*-id order, so:
 //!
-//! * a per-candidate mask map is the **disjoint union** of the shards'
-//!   mask maps (translated local→global), and
+//! * a per-candidate column is the **disjoint union** of the shards'
+//!   columns (translated local→global), and
 //! * the global canonical fold order is the k-way merge of the shards'
-//!   canonical orders.
+//!   canonical orders — which is literally how the merged column is made.
 //!
 //! A merged table ([`ShardSet`], `set.rs`) is therefore a real
 //! [`ServedTable`] over the global id space carrying the exact bits a
@@ -550,7 +550,7 @@ impl ShardedEngine {
             .keys()
             .map(|key| {
                 let parts = set.shard_tables(&snap.model, &snap.facilities, key);
-                let merged = set.merge(&users, &snap.model, key, &parts);
+                let merged = set.merge(key, &parts);
                 (key.clone(), Arc::new(merged))
             })
             .collect();

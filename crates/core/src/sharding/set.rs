@@ -4,21 +4,21 @@
 //! `engine::session` path like any other backend's.
 //!
 //! The merge invariant, stated once: **a merged table is a real
-//! [`ServedTable`] over the global id space** — per candidate, the union
-//! of the shards' disjoint mask maps (local ids translated through the
-//! shard's monotone local→global map) with values recomputed by
-//! [`canonical_value`] over the global user set. Masks are pure functions
-//! of (trajectory, facility, model, placement), so the union equals what a
-//! single engine computes, and the canonical summation fixes the fold
-//! order by content — merged values are bit-identical to single-engine
-//! values by construction, not by accident of scheduling. Every solver
-//! then runs on the merged table exactly as it does on a single engine's.
+//! [`ServedTable`] over the global id space** — per candidate, the merge
+//! of the shards' disjoint columns (local ids translated through the
+//! shard's monotone local→global map, so each is a sorted run) with the
+//! value re-folded over the merged column. Masks — and with them the
+//! per-user values a column caches — are pure functions of (trajectory,
+//! facility, model, placement), so the merge equals what a single engine
+//! computes, and the column fixes the fold order by content — merged
+//! values are bit-identical to single-engine values by construction, not
+//! by accident of scheduling. Every solver then runs on the merged table
+//! exactly as it does on a single engine's.
 
 use crate::engine::{session, BackendKind, Index, Snapshot};
-use crate::eval::{canonical_value, EvalOutcome, EvalStats};
-use crate::fasthash::FxHashMap;
-use crate::maxcov::ServedTable;
-use crate::service::{PointMask, ServiceModel};
+use crate::eval::{EvalOutcome, EvalStats};
+use crate::maxcov::{Column, ServedTable};
+use crate::service::ServiceModel;
 use crate::topk::TopKOutcome;
 use std::sync::Arc;
 use std::time::Instant;
@@ -108,38 +108,27 @@ impl ShardSet {
             .collect()
     }
 
-    /// The merge itself: disjoint union of translated per-shard masks,
-    /// canonical value recomputation over the global user set, evaluation
-    /// counters summed over the parts.
-    pub(crate) fn merge(
-        &self,
-        users: &UserSet,
-        model: &ServiceModel,
-        key: &[FacilityId],
-        per_shard: &[Arc<ServedTable>],
-    ) -> ServedTable {
-        let masks = (0..key.len())
-            .map(|ci| self.globalize(per_shard.iter().map(|table| &table.masks[ci])))
+    /// The merge itself: per candidate one [`Column::merged`] over the
+    /// shards' columns, evaluation counters summed over the parts.
+    pub(crate) fn merge(&self, key: &[FacilityId], per_shard: &[Arc<ServedTable>]) -> ServedTable {
+        let masks: Vec<Arc<Column>> = (0..key.len())
+            .map(|ci| Arc::new(self.merged(per_shard.iter().map(|table| &*table.masks[ci]))))
             .collect();
         let mut stats = EvalStats::default();
         for table in per_shard {
             stats.add(&table.stats);
         }
-        ServedTable::from_masks(users, model, key.to_vec(), masks, stats)
+        ServedTable {
+            ids: key.to_vec(),
+            values: masks.iter().map(|col| col.value()).collect(),
+            masks,
+            stats,
+        }
     }
 
-    /// One global mask map from one local mask map per shard.
-    fn globalize<'a>(
-        &self,
-        per_shard: impl Iterator<Item = &'a FxHashMap<TrajectoryId, PointMask>>,
-    ) -> FxHashMap<TrajectoryId, PointMask> {
-        let mut merged = FxHashMap::default();
-        for (locals, masks) in self.locals.iter().zip(per_shard) {
-            for (lid, mask) in masks {
-                merged.insert(locals[*lid as usize], mask.clone());
-            }
-        }
-        merged
+    /// One global column from one local column per shard.
+    fn merged<'a>(&'a self, per_shard: impl Iterator<Item = &'a Column>) -> Column {
+        Column::merged(self.locals.iter().map(|l| l.as_slice()).zip(per_shard))
     }
 }
 
@@ -149,7 +138,9 @@ impl Index for ShardSet {
         self.shards[0].backend().kind()
     }
 
-    fn evaluate(&self, users: &UserSet, model: &ServiceModel, facility: &Facility) -> EvalOutcome {
+    /// The shards evaluate over their own user sets; the global one is
+    /// not consulted — merged columns carry their values.
+    fn evaluate(&self, _users: &UserSet, model: &ServiceModel, facility: &Facility) -> EvalOutcome {
         let outcomes: Vec<EvalOutcome> = self
             .shards
             .iter()
@@ -164,9 +155,9 @@ impl Index for ShardSet {
         for out in &outcomes {
             stats.add(&out.stats);
         }
-        let masks = self.globalize(outcomes.iter().map(|out| &out.masks));
+        let masks = self.merged(outcomes.iter().map(|out| &out.masks));
         EvalOutcome {
-            value: canonical_value(users, model, &masks),
+            value: masks.value(),
             masks,
             stats,
         }
@@ -204,12 +195,12 @@ impl Index for ShardSet {
 
     fn served_table_parts(
         &self,
-        users: &UserSet,
+        _users: &UserSet,
         model: &ServiceModel,
         facilities: &FacilitySet,
         candidates: &[FacilityId],
     ) -> (ServedTable, Vec<Arc<ServedTable>>) {
         let parts = self.shard_tables(model, facilities, candidates);
-        (self.merge(users, model, candidates, &parts), parts)
+        (self.merge(candidates, &parts), parts)
     }
 }

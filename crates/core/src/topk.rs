@@ -129,13 +129,12 @@ pub fn top_k_facilities(
         let state = &mut states[idx as usize];
         if state.frontier.is_empty() {
             // Fully explored: fserve == exact value ≥ every remaining bound.
-            // Recompute from the masks in the canonical ascending-id order
-            // (`eval::canonical_value`) so reported values carry no
-            // floating-point drift from the incremental deltas and are
-            // bit-identical to any other evaluation of the same facility.
-            let exact = crate::eval::canonical_value(users, model, &state.eval.masks);
-            ranked.push((state.fid, exact));
-            stats.add(&state.eval.stats);
+            // Report the finished column's fold, not the running deltas, so
+            // values carry no floating-point drift and are bit-identical to
+            // any other evaluation of the same facility.
+            let out = std::mem::take(&mut state.eval).finish(&ctx);
+            ranked.push((state.fid, out.value));
+            stats.add(&out.stats);
             continue;
         }
         relax(&ctx, state, model);

@@ -153,8 +153,8 @@ fn baseline_masks_equal_tqtree_masks_equal_oracle() {
         assert_eq!(from_bl.len(), want.len());
         assert_eq!(from_tq.len(), want.len());
         for (id, m) in &want {
-            assert_eq!(from_bl.get(id), Some(m), "baseline mask for user {id}");
-            assert_eq!(from_tq.get(id), Some(m), "tq-tree mask for user {id}");
+            assert_eq!(from_bl.get(*id), Some(m.view()), "baseline mask for user {id}");
+            assert_eq!(from_tq.get(*id), Some(m.view()), "tq-tree mask for user {id}");
         }
         assert_eq!(
             tq_table.values[fi].to_bits(),
