@@ -58,6 +58,18 @@
 //! [`Snapshot::run`] on the read plane builds missing tables locally and
 //! discards them — readers never mutate shared state.
 //!
+//! **A warmed engine builds no subset table at all.** A facility's column
+//! does not depend on which other candidates a query names, so once a
+//! snapshot carries the full-facility table ([`Engine::warm`], or any
+//! full-candidate coverage query) every restricted-candidate query — top-k
+//! and coverage alike, on either plane — takes its table as a
+//! [`ServedTable::project`]ion of it: one `Arc` bump per candidate, no index
+//! work ([`CacheStatus::Miss`] with zero counters), nothing absorbed,
+//! nothing published. The subset memo therefore only ever fills on an
+//! *unwarmed* engine, whose queries keep the paper's best-first search and
+//! per-candidate evaluation — the cold path, and the reference the
+//! projection is tested against (`maxcov/project_proptests.rs`).
+//!
 //! [`Engine::apply`] keeps every memoized table in sync incrementally (the
 //! [`dynamic`](crate::dynamic)-engine invalidation rule: facilities whose
 //! ψ-expanded EMBR misses every delta MBR are untouched — their columns,
@@ -570,7 +582,9 @@ impl EngineBuilder {
     /// this). `0` disables subset caching entirely — subset coverage
     /// queries then build their table per query, like snapshot readers do.
     /// The pinned full-facility table is unaffected. Defaults to
-    /// [`DEFAULT_SUBSET_TABLES`].
+    /// [`DEFAULT_SUBSET_TABLES`]. Only an unwarmed engine admits subset
+    /// tables: once the full table is memoized, subsets are projected from
+    /// it and this capacity is never consulted.
     pub fn subset_tables(mut self, capacity: usize) -> EngineBuilder {
         self.subset_tables = capacity;
         self
@@ -775,14 +789,14 @@ impl Engine {
         backend: Backend,
     ) -> Engine {
         let embrs = facilities.iter().map(|(_, f)| f.embr(model.psi)).collect();
-        let snapshot = Arc::new(Snapshot {
-            epoch: 0,
-            users: Arc::new(users),
-            facilities: Arc::new(facilities),
+        let snapshot = Arc::new(Snapshot::new(
+            0,
+            Arc::new(users),
+            Arc::new(facilities),
             model,
-            backend: Arc::new(backend),
-            tables: FxHashMap::default(),
-        });
+            Arc::new(backend),
+            FxHashMap::default(),
+        ));
         Engine {
             slot: Arc::new(SnapshotSlot::new(snapshot.clone())),
             snapshot,
@@ -814,14 +828,14 @@ impl Engine {
         if let Some(table) = full_table {
             tables.insert(table.ids.clone(), Arc::new(table));
         }
-        let snapshot = Arc::new(Snapshot {
+        let snapshot = Arc::new(Snapshot::new(
             epoch,
-            users: Arc::new(users),
-            facilities: Arc::new(facilities),
+            Arc::new(users),
+            Arc::new(facilities),
             model,
-            backend: Arc::new(backend),
+            Arc::new(backend),
             tables,
-        });
+        ));
         Engine {
             slot: Arc::new(SnapshotSlot::new(snapshot.clone())),
             snapshot,
@@ -868,7 +882,8 @@ impl Engine {
 
     /// The current publication epoch. Starts at 0; bumped by every
     /// publication — update batches ([`Engine::apply`]) and table
-    /// absorptions ([`Engine::run`] misses, [`Engine::warm`]).
+    /// absorptions ([`Engine::run`] misses that built a table,
+    /// [`Engine::warm`]).
     pub fn epoch(&self) -> u64 {
         self.snapshot.epoch
     }
@@ -887,6 +902,9 @@ impl Engine {
     /// Answers a typed [`Query`], memoizing any [`ServedTable`] the query
     /// had to build (absorbed into a newly published snapshot, so
     /// subsequent queries — on the engine *and* on every reader — hit it).
+    /// A table projected from the full-facility table is not a built one:
+    /// a restricted-candidate query on a warmed engine publishes nothing
+    /// and leaves the memo as it was.
     ///
     /// Validation errors ([`EngineError::EmptyCandidates`],
     /// [`EngineError::ZeroK`], [`EngineError::KExceedsCandidates`],
@@ -921,14 +939,14 @@ impl Engine {
             tables.remove(k);
         }
         tables.insert(key, table);
-        self.publish(Snapshot {
-            epoch: self.snapshot.epoch + 1,
-            users: self.snapshot.users.clone(),
-            facilities: self.snapshot.facilities.clone(),
-            model: self.snapshot.model,
-            backend: self.snapshot.backend.clone(),
+        self.publish(Snapshot::new(
+            self.snapshot.epoch + 1,
+            self.snapshot.users.clone(),
+            self.snapshot.facilities.clone(),
+            self.snapshot.model,
+            self.snapshot.backend.clone(),
             tables,
-        });
+        ));
     }
 
     /// Refreshes a memoized subset table's recency (LRU order) without
@@ -939,21 +957,22 @@ impl Engine {
     }
 
     /// Pre-evaluates (and memoizes) the [`ServedTable`] over **all**
-    /// registered facilities, so subsequent queries hit the cache and
+    /// registered facilities, so subsequent full-candidate queries hit the
+    /// cache, restricted-candidate ones are projected from it, and
     /// [`Engine::apply`] maintains it incrementally from the start.
     /// Publishes the snapshot carrying it and returns the table.
     pub fn warm(&mut self) -> &ServedTable {
-        let all: Vec<FacilityId> = self.snapshot.facilities.iter().map(|(id, _)| id).collect();
-        if !self.snapshot.tables.contains_key(&all) {
+        if self.snapshot.full.is_none() {
+            let all: Vec<FacilityId> = self.snapshot.facilities.iter().map(|(id, _)| id).collect();
             let table = self.snapshot.backend.as_index().served_table(
                 &self.snapshot.users,
                 &self.snapshot.model,
                 &self.snapshot.facilities,
                 &all,
             );
-            self.absorb_table(all.clone(), Arc::new(table));
+            self.absorb_table(all, Arc::new(table));
         }
-        &self.snapshot.tables[&all]
+        self.snapshot.full_table().expect("absorbed above")
     }
 
     /// The memoized table for a candidate set, if one exists (`None` until
@@ -1204,14 +1223,14 @@ impl Engine {
         // Replacing the writer's handle releases the previous epoch: with
         // no reader still on it, that frees exactly what this batch
         // replaced — everything else lives on in the new snapshot.
-        self.publish(Snapshot {
-            epoch: new_epoch,
-            users: Arc::new(users),
-            facilities: self.snapshot.facilities.clone(),
-            model: self.snapshot.model,
-            backend: Arc::new(Backend::TqTree(tree)),
+        self.publish(Snapshot::new(
+            new_epoch,
+            Arc::new(users),
+            self.snapshot.facilities.clone(),
+            self.snapshot.model,
+            Arc::new(Backend::TqTree(tree)),
             tables,
-        });
+        ));
         clock.lap(STAGE_PUBLISH);
         outcome
     }
@@ -1409,8 +1428,9 @@ mod tests {
         assert!(hit.explain.cache.is_hit());
         assert_eq!(hit.explain.snapshot_epoch, epoch_before);
 
-        // Subset miss: the snapshot builds the table locally, answers
-        // correctly, and memoizes nothing (no publication).
+        // Subset miss: the warmed snapshot projects the table from its
+        // full one, answers correctly, and memoizes nothing (no
+        // publication).
         let miss = snap.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
         assert_eq!(miss.explain.cache, CacheStatus::Miss);
         assert_eq!(reader.epoch(), epoch_before, "snapshot runs never publish");
@@ -1463,8 +1483,9 @@ mod tests {
 
     #[test]
     fn clone_is_an_independent_writer() {
-        let mut e = engine();
-        e.warm();
+        // Unwarmed, so the subset query below builds — and publishes — a
+        // table (a warmed engine would project it and publish nothing).
+        let e = engine();
         let reader = e.reader();
         let mut fork = e.clone();
         let fork_reader = fork.reader();
@@ -1511,9 +1532,11 @@ mod tests {
             .bounds(Rect::new(p(0.0, 0.0), p(100.0, 100.0)))
             .build()
             .unwrap();
-        // Memoize two tables: the full set and a subset.
-        e.run(Query::max_cov(1)).unwrap();
+        // Memoize two tables: a subset, then the full set (in that order —
+        // once the full table is there, a subset is projected from it and
+        // never admitted).
         e.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
+        e.run(Query::max_cov(1)).unwrap();
 
         // A commuter arrives near facility 0.
         e.apply(&[Update::Insert(Trajectory::two_point(
@@ -1549,9 +1572,10 @@ mod tests {
             .bounds(Rect::new(p(0.0, 0.0), p(100.0, 100.0)))
             .build()
             .unwrap();
-        // Subset table for facility 1 only (far corner), full table too.
-        e.warm();
+        // Subset table for facility 1 only (far corner), full table too —
+        // the subset first, while the engine is unwarmed and still admits it.
         e.run(Query::max_cov(1).candidates(&[1])).unwrap();
+        e.warm();
         let before = e.snapshot();
         let key = vec![1u32];
         // A batch near facility 0: facility 1's subset table is untouched
@@ -1621,9 +1645,8 @@ mod tests {
             .facilities(facilities)
             .build()
             .unwrap();
-        e.warm();
-        // Many distinct subset queries: the memo must stay bounded and the
-        // pinned full table must survive every eviction.
+        // Many distinct subset queries on the unwarmed engine: the memo
+        // must stay bounded.
         for i in 0..(DEFAULT_SUBSET_TABLES as u32 + 3) {
             e.run(Query::max_cov(1).candidates(&[i, i + 1])).unwrap();
             assert!(
@@ -1631,8 +1654,19 @@ mod tests {
                 "memo grew past the cap at query {i}: {}",
                 e.snapshot.tables.len()
             );
+        }
+        assert_eq!(e.memo.subset_count(), DEFAULT_SUBSET_TABLES);
+        // The full table is pinned: it joins a memo at capacity without
+        // evicting, and no later subset query — each a projection now —
+        // can push it, or any memoized subset, out.
+        e.warm();
+        let epoch = e.epoch();
+        for i in 0..(DEFAULT_SUBSET_TABLES as u32 + 2) {
+            e.run(Query::max_cov(1).candidates(&[i, i + 2])).unwrap();
+            assert_eq!(e.snapshot.tables.len(), DEFAULT_SUBSET_TABLES + 1);
             assert!(e.full_table().is_some(), "full table evicted at query {i}");
         }
+        assert_eq!(e.epoch(), epoch, "a projection publishes nothing");
         assert_eq!(e.memo.subset_count(), DEFAULT_SUBSET_TABLES);
         // The oldest subset was evicted, the newest re-queries as a hit.
         let newest = [
@@ -1654,16 +1688,73 @@ mod tests {
             .subset_tables(1)
             .build()
             .unwrap();
-        e.warm();
         e.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
         let hit = e.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
         assert!(hit.explain.cache.is_hit());
         // A second subset evicts the first at capacity 1.
         e.run(Query::max_cov(1).candidates(&[2, 3])).unwrap();
-        assert_eq!(e.snapshot.tables.len(), 2, "full + one subset");
+        assert_eq!(e.snapshot.tables.len(), 1, "one subset");
         let miss = e.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
         assert_eq!(miss.explain.cache, CacheStatus::Miss);
+        // The pinned full table does not count against the capacity.
+        e.warm();
+        assert_eq!(e.snapshot.tables.len(), 2, "full + one subset");
         assert!(e.full_table().is_some());
+    }
+
+    /// The mirror of the subset-memo tests above: once the snapshot carries
+    /// the full table, a subset query is a projection of it — the same
+    /// answer as the unwarmed engine's search and build, no index work, no
+    /// publication, nothing admitted.
+    #[test]
+    fn a_warmed_engine_projects_subset_queries_and_memoizes_none() {
+        let (users, facilities) = grid_instance(6);
+        let build = || {
+            Engine::builder(ServiceModel::new(Scenario::Transit, 1.0))
+                .users(users.clone())
+                .facilities(facilities.clone())
+                .build()
+                .unwrap()
+        };
+        let subset = [1, 2, 4];
+        let queries = [
+            Query::max_cov(2).candidates(&subset),
+            Query::max_cov(2).candidates(&subset).algorithm(Algorithm::TwoStep).k_prime(2),
+            Query::top_k(2).candidates(&subset),
+        ];
+        let mut warmed = build();
+        warmed.warm();
+        let epoch = warmed.epoch();
+        let snap = warmed.snapshot();
+        for q in queries {
+            let cold = build().run(q.clone()).unwrap();
+            assert!(cold.explain.eval.nodes_visited > 0, "setup: the unwarmed engine searched");
+            for pass in 0..2 {
+                for got in [warmed.run(q.clone()).unwrap(), snap.run(q.clone()).unwrap()] {
+                    assert_eq!(got.explain.cache, CacheStatus::Miss, "pass {pass}");
+                    assert_eq!(got.explain.eval.nodes_visited, 0);
+                    assert_eq!(got.explain.eval.items_tested, 0);
+                    assert_eq!(got.explain.relaxations, 0);
+                    match (&got.result, &cold.result) {
+                        (QueryResult::TopK(g), QueryResult::TopK(c)) => {
+                            assert_eq!(g.len(), c.len());
+                            for (g, c) in g.iter().zip(c) {
+                                assert_eq!((g.0, g.1.to_bits()), (c.0, c.1.to_bits()));
+                            }
+                        }
+                        (QueryResult::MaxCov(g), QueryResult::MaxCov(c)) => {
+                            assert_eq!(g.chosen, c.chosen);
+                            assert_eq!(g.value.to_bits(), c.value.to_bits());
+                            assert_eq!(g.users_served, c.users_served);
+                        }
+                        _ => unreachable!("same query, same family"),
+                    }
+                }
+            }
+        }
+        assert_eq!(warmed.epoch(), epoch, "a projection publishes nothing");
+        assert_eq!(warmed.memo.subset_count(), 0);
+        assert_eq!(warmed.snapshot.tables.len(), 1, "the full table and nothing else");
     }
 
     #[test]

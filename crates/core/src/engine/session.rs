@@ -6,10 +6,30 @@
 //! [`Snapshot::run`](super::Snapshot::run) (the lock-free read plane) and
 //! [`Engine::run`](super::Engine::run) (the control plane, which
 //! additionally absorbs any table the query built into the next published
-//! snapshot). Execution itself never mutates anything — a query that
-//! misses the memo builds its [`ServedTable`] locally and reports what it
-//! built through [`TableOutcome`], leaving the absorb-or-discard decision
-//! to the caller.
+//! snapshot). Execution itself never mutates anything.
+//!
+//! A query over a candidate set gets its [`ServedTable`] from the first of
+//! three places that has it:
+//!
+//! 1. **the memo** — the snapshot carries a table under exactly this key
+//!    ([`CacheStatus::Hit`]);
+//! 2. **a projection** — the snapshot carries the full-facility table
+//!    ([`Engine::warm`](super::Engine::warm), kept bit-identical to a fresh
+//!    build by every [`Engine::apply`](super::Engine::apply)), and a
+//!    facility's column does not depend on which other candidates are
+//!    asked about, so the subset's table is
+//!    [`ServedTable::project`]: one `Arc` bump per candidate, no
+//!    evaluation, nothing for the memo ([`CacheStatus::Miss`] with zero
+//!    work counters);
+//! 3. **the index** — the paper's best-first search (top-k, Alg. 4) or a
+//!    per-candidate evaluation through the backend (max-cov, Alg. 3),
+//!    reported through [`TableOutcome`] so the caller decides whether the
+//!    built table is absorbed or discarded. This is the cold path, the
+//!    only one an unwarmed engine has, and the reference the other two are
+//!    tested against.
+//!
+//! Which of 2 and 3 runs is decided by what the snapshot holds, not by an
+//! option.
 
 use super::{EngineError, Snapshot};
 use crate::maxcov::{exact, genetic, greedy, CovOutcome, GeneticConfig, ServedTable};
@@ -158,13 +178,23 @@ impl Query {
 /// Whether a query could be answered from a memoized [`ServedTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheStatus {
-    /// The query did not need a served table (e.g. best-first top-k).
+    /// The query neither needed nor found a served table: a top-k answered
+    /// by the backend's own search (the paper's best-first search on a
+    /// TQ-tree). Only a snapshot without the full-facility table reports
+    /// this — one that has it answers every top-k from it, as a
+    /// [`CacheStatus::Hit`] or a projected [`CacheStatus::Miss`].
     #[default]
     Unused,
-    /// A table was built for this query (and memoized, when the engine's
-    /// control plane ran it — snapshot readers never memoize).
+    /// No table is memoized under the query's candidate set. Either one
+    /// was built for this query through the index (and memoized, when the
+    /// engine's control plane ran it — snapshot readers never memoize), or
+    /// — on a snapshot carrying the full-facility table — it was projected
+    /// from that table: no evaluation, all-zero [`Explain::eval`] and
+    /// [`Explain::relaxations`], and nothing memoized on either plane. The
+    /// `tq_query_projected_total` counter tells the two apart.
     Miss,
-    /// The query reused a memoized table — no facility evaluation at all.
+    /// The query reused the table memoized under exactly its candidate set
+    /// — no facility evaluation at all.
     Hit,
 }
 
@@ -199,11 +229,15 @@ pub struct Explain {
     /// restriction.
     pub candidates: usize,
     /// Aggregated evaluation counters (nodes visited, items tested/pruned,
-    /// distance checks, parallel tasks). Zero on a cache hit.
+    /// distance checks, parallel tasks): the index work this query did.
+    /// Zero on a cache hit and on a miss answered by projecting the
+    /// snapshot's full-facility table (see [`CacheStatus::Miss`]).
     pub eval: EvalStats,
-    /// Best-first state relaxations (top-k on the TQ-tree backend only).
+    /// Best-first state relaxations (top-k on the TQ-tree backend only;
+    /// zero whenever a table answered instead of the search).
     pub relaxations: usize,
-    /// [`ServedTable`] memo outcome.
+    /// [`ServedTable`] memo outcome. A projected table reports
+    /// [`CacheStatus::Miss`].
     pub cache: CacheStatus,
     /// Worker threads active for the query.
     pub threads: usize,
@@ -304,6 +338,7 @@ struct QueryMetrics {
     latency: [&'static tq_obs::Histogram; 2],
     cache_hits: &'static tq_obs::Counter,
     cache_misses: &'static tq_obs::Counter,
+    projected: &'static tq_obs::Counter,
     nodes_visited: &'static tq_obs::Counter,
     items_tested: &'static tq_obs::Counter,
     items_pruned: &'static tq_obs::Counter,
@@ -323,6 +358,7 @@ fn query_metrics() -> &'static QueryMetrics {
         ],
         cache_hits: tq_obs::counter("tq_query_cache_hits_total", ""),
         cache_misses: tq_obs::counter("tq_query_cache_misses_total", ""),
+        projected: tq_obs::counter("tq_query_projected_total", ""),
         nodes_visited: tq_obs::counter("tq_eval_nodes_visited_total", ""),
         items_tested: tq_obs::counter("tq_eval_items_tested_total", ""),
         items_pruned: tq_obs::counter("tq_eval_items_pruned_total", ""),
@@ -330,10 +366,11 @@ fn query_metrics() -> &'static QueryMetrics {
     })
 }
 
-/// Rolls one completed query's [`Explain`] into the metrics registry. A
+/// Rolls one completed query's [`Explain`] into the metrics registry;
+/// `projected` says its miss was served by projection rather than built. A
 /// handful of `Relaxed` atomic adds; one load-and-branch when recording is
 /// off.
-fn note_query(explain: &Explain) {
+fn note_query(explain: &Explain, projected: bool) {
     if !tq_obs::enabled() {
         return;
     }
@@ -348,6 +385,9 @@ fn note_query(explain: &Explain) {
         CacheStatus::Hit => m.cache_hits.incr(),
         CacheStatus::Miss => m.cache_misses.incr(),
         CacheStatus::Unused => {}
+    }
+    if projected {
+        m.projected.incr();
     }
     m.nodes_visited.add(explain.eval.nodes_visited as u64);
     m.items_tested.add(explain.eval.items_tested as u64);
@@ -369,10 +409,12 @@ pub(crate) fn note_slow_query(explain: &Explain) {
 // Execution (shared by Snapshot::run and Engine::run)
 // ---------------------------------------------------------------------------
 
-/// What a max-cov query did with the [`ServedTable`] memo: which key it
-/// used, and the table it built on a miss (`None` on a hit). The control
-/// plane absorbs built tables into the next snapshot and refreshes LRU
-/// recency on hits; the read plane discards this.
+/// What a query did with the [`ServedTable`] memo: which key it used, and
+/// the table it built through the index on a miss (`None` on a hit). The
+/// control plane absorbs built tables into the next snapshot and refreshes
+/// LRU recency on hits; the read plane discards this. A query whose table
+/// was projected from the full one has no outcome at all — there is
+/// nothing to absorb and no entry to refresh.
 pub(crate) struct TableOutcome {
     pub(crate) key: Vec<FacilityId>,
     pub(crate) built: Option<Arc<ServedTable>>,
@@ -390,6 +432,15 @@ impl TableOutcome {
             parts: Vec::new(),
         }
     }
+}
+
+/// What one execution leaves behind besides its answer.
+#[derive(Default)]
+struct Effects {
+    /// The memo traffic the control plane acts on.
+    table: Option<TableOutcome>,
+    /// A table of this query was projected from the snapshot's full one.
+    projected: bool,
 }
 
 /// Executes a query against one immutable snapshot. Pure with respect to
@@ -416,20 +467,20 @@ pub(crate) fn execute(
         candidates: cand.len(),
         ..Explain::default()
     };
-    let mut outcome = None;
+    let mut effects = Effects::default();
     let result = match query.threads {
         Some(n) => parallel::with_threads(n, || {
             explain.threads = parallel::current_threads();
-            dispatch(snap, query, &cand, &mut explain, &mut outcome)
+            dispatch(snap, query, &cand, &mut explain, &mut effects)
         })?,
         None => {
             explain.threads = parallel::current_threads();
-            dispatch(snap, query, &cand, &mut explain, &mut outcome)?
+            dispatch(snap, query, &cand, &mut explain, &mut effects)?
         }
     };
     explain.wall = start.elapsed();
-    note_query(&explain);
-    Ok((Answer { result, explain }, outcome))
+    note_query(&explain, effects.projected);
+    Ok((Answer { result, explain }, effects.table))
 }
 
 /// Sorted, deduplicated, validated candidate ids for a query.
@@ -461,35 +512,55 @@ fn dispatch(
     query: &Query,
     cand: &[FacilityId],
     explain: &mut Explain,
-    outcome: &mut Option<TableOutcome>,
+    effects: &mut Effects,
 ) -> Result<QueryResult, EngineError> {
     match query.kind {
         QueryKind::TopK => {
-            let ranked = run_top_k(snap, cand, query.k, explain);
+            let ranked = run_top_k(snap, cand, query.k, explain, effects);
             // A hit came from a memoized table: report the key so the
             // control plane refreshes its LRU recency, exactly as max-cov
             // hits do — a hot subset stays resident no matter which query
             // family keeps it hot.
             if explain.cache.is_hit() {
-                *outcome = Some(TableOutcome::hit(cand.to_vec()));
+                effects.table = Some(TableOutcome::hit(cand.to_vec()));
             }
             Ok(QueryResult::TopK(ranked))
         }
-        QueryKind::MaxCov => run_max_cov(snap, query, cand, explain, outcome),
+        QueryKind::MaxCov => run_max_cov(snap, query, cand, explain, effects),
     }
 }
 
-/// Top-k over a candidate set: from the memoized table when one exists
-/// (zero evaluation work), otherwise through the backend's search.
+/// The table for `key` as a projection of the snapshot's full-facility
+/// table, when the snapshot carries one.
+fn project(
+    snap: &Snapshot,
+    key: &[FacilityId],
+    explain: &mut Explain,
+    effects: &mut Effects,
+) -> Option<ServedTable> {
+    let full = snap.full.as_ref()?;
+    explain.cache = CacheStatus::Miss;
+    effects.projected = true;
+    Some(full.project(key))
+}
+
+/// Top-k over a candidate set: ranked from the memoized table when one
+/// exists, from a projection of the full table when the snapshot carries
+/// that (zero evaluation work either way), otherwise through the backend's
+/// search.
 fn run_top_k(
     snap: &Snapshot,
     cand: &[FacilityId],
     k: usize,
     explain: &mut Explain,
+    effects: &mut Effects,
 ) -> Vec<(FacilityId, f64)> {
     if let Some(table) = snap.tables.get(cand) {
         explain.cache = CacheStatus::Hit;
         return rank_table(table, k);
+    }
+    if let Some(table) = project(snap, cand, explain, effects) {
+        return rank_table(&table, k);
     }
     let out = if cand.len() == snap.facilities.len() {
         snap.backend
@@ -523,7 +594,7 @@ fn run_max_cov(
     query: &Query,
     cand: &[FacilityId],
     explain: &mut Explain,
-    outcome: &mut Option<TableOutcome>,
+    effects: &mut Effects,
 ) -> Result<QueryResult, EngineError> {
     let k = query.k;
     let pool: Vec<FacilityId> = match query.algorithm {
@@ -535,14 +606,14 @@ fn run_max_cov(
                 .unwrap_or_else(|| (4 * k).max(32))
                 .max(k)
                 .min(cand.len());
-            let mut top = run_top_k(snap, cand, kp, explain);
+            let mut top = run_top_k(snap, cand, kp, explain, effects);
             let mut ids: Vec<FacilityId> = top.drain(..).map(|(id, _)| id).collect();
             ids.sort_unstable();
             ids
         }
         _ => cand.to_vec(),
     };
-    let (table, table_outcome) = resolve_table(snap, pool, explain);
+    let table = resolve_table(snap, pool, explain, effects);
     let out = match query.algorithm {
         Algorithm::Greedy | Algorithm::TwoStep => greedy(&table, &snap.users, &snap.model, k),
         Algorithm::Genetic => {
@@ -555,22 +626,27 @@ fn run_max_cov(
         Algorithm::Exact => exact(&table, &snap.users, &snap.model, k, query.node_budget)
             .ok_or(EngineError::ExactBudgetExhausted)?,
     };
-    *outcome = Some(table_outcome);
     Ok(QueryResult::MaxCov(out))
 }
 
 /// The [`ServedTable`] for a (sorted) candidate set: the snapshot's frozen
-/// memo on a hit, a locally built table on a miss. The build mutates
-/// nothing — the caller decides through the returned [`TableOutcome`]
-/// whether the new table is absorbed into a future snapshot.
+/// memo on a hit, else a projection of its full table, else a locally built
+/// table. The build mutates nothing — the caller decides through the
+/// [`TableOutcome`] left in `effects` whether the new table is absorbed
+/// into a future snapshot.
 fn resolve_table(
     snap: &Snapshot,
     key: Vec<FacilityId>,
     explain: &mut Explain,
-) -> (Arc<ServedTable>, TableOutcome) {
+    effects: &mut Effects,
+) -> Arc<ServedTable> {
     if let Some(table) = snap.tables.get(&key) {
         explain.cache = CacheStatus::Hit;
-        return (table.clone(), TableOutcome::hit(key));
+        effects.table = Some(TableOutcome::hit(key));
+        return table.clone();
+    }
+    if let Some(table) = project(snap, &key, explain, effects) {
+        return Arc::new(table);
     }
     explain.cache = CacheStatus::Miss;
     let (table, parts) = snap.backend.as_index().served_table_parts(
@@ -581,12 +657,12 @@ fn resolve_table(
     );
     explain.eval.add(&table.stats);
     let table = Arc::new(table);
-    let outcome = TableOutcome {
+    effects.table = Some(TableOutcome {
         key,
         built: Some(table.clone()),
         parts,
-    };
-    (table, outcome)
+    });
+    table
 }
 
 /// Ranks a table's candidates by service value (descending, ties by

@@ -4,7 +4,11 @@
 //! A snapshot owns (via `Arc`) everything a query needs — the user
 //! trajectories, the candidate facilities, the service model, the backend
 //! index, and the frozen [`ServedTable`] memo — and never changes after
-//! publication. [`Snapshot::run`] therefore takes `&self` and acquires
+//! publication. When the memo holds the full-facility table (the engine was
+//! warmed), the snapshot also *is* every subset's table: a
+//! restricted-candidate query projects its columns out of the full table
+//! instead of evaluating anything, so on a warmed engine the index is
+//! written by updates and read only by the full table's maintenance. [`Snapshot::run`] therefore takes `&self` and acquires
 //! **zero locks**: any number of threads can answer queries over the same
 //! snapshot concurrently, each bit-identical to a serial execution over
 //! that snapshot's data. Writers never touch a published snapshot; the
@@ -30,9 +34,11 @@ use tq_trajectory::{FacilityId, FacilitySet, UserSet};
 /// [`Reader`]; shared freely across threads (`Arc<Snapshot>` is the unit
 /// of sharing).
 ///
-/// Queries through [`Snapshot::run`] are lock-free and read-only: a
-/// max-cov query that misses the frozen memo builds its table locally and
-/// discards it afterwards (only the control plane memoizes — see
+/// Queries through [`Snapshot::run`] are lock-free and read-only: a query
+/// that misses the frozen memo projects its table from the full-facility
+/// table when the snapshot carries one, and otherwise builds it locally
+/// through the index and discards it afterwards (only the control plane
+/// memoizes, and only built tables — see
 /// [`Engine::run`](super::Engine::run)).
 #[derive(Debug)]
 pub struct Snapshot {
@@ -50,9 +56,39 @@ pub struct Snapshot {
     /// Tables, and the columns inside them, are `Arc`-shared across
     /// epochs: an update batch copies only the columns it changes.
     pub(crate) tables: FxHashMap<Vec<FacilityId>, Arc<ServedTable>>,
+    /// The full-facility table among `tables`, found once at publication:
+    /// what a restricted-candidate query projects its table from, and what
+    /// [`Snapshot::full_table`] hands out without rebuilding the key.
+    pub(crate) full: Option<Arc<ServedTable>>,
 }
 
 impl Snapshot {
+    /// Assembles a snapshot, picking the full-facility table out of
+    /// `tables`. Memo keys are sorted, deduplicated, registered ids, so the
+    /// one table with a row per facility is the full one.
+    pub(crate) fn new(
+        epoch: u64,
+        users: Arc<UserSet>,
+        facilities: Arc<FacilitySet>,
+        model: ServiceModel,
+        backend: Arc<Backend>,
+        tables: FxHashMap<Vec<FacilityId>, Arc<ServedTable>>,
+    ) -> Snapshot {
+        let full = tables
+            .values()
+            .find(|table| table.len() == facilities.len())
+            .cloned();
+        Snapshot {
+            epoch,
+            users,
+            facilities,
+            model,
+            backend,
+            tables,
+            full,
+        }
+    }
+
     /// Answers a typed [`Query`] against this snapshot's frozen state.
     ///
     /// `&self`, no locks, no interior mutability: safe to call from any
@@ -116,8 +152,7 @@ impl Snapshot {
     /// The frozen full-facility table (see
     /// [`Engine::warm`](super::Engine::warm)).
     pub fn full_table(&self) -> Option<&ServedTable> {
-        let all: Vec<FacilityId> = self.facilities.iter().map(|(id, _)| id).collect();
-        self.cached_table(&all)
+        self.full.as_deref()
     }
 }
 

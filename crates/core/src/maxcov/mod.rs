@@ -35,6 +35,8 @@ pub mod exact;
 pub mod genetic;
 pub mod greedy;
 #[cfg(test)]
+mod project_proptests;
+#[cfg(test)]
 mod proptests;
 
 use crate::eval::{EvalOutcome, EvalStats};
@@ -138,6 +140,34 @@ impl ServedTable {
             values,
             stats,
         }
+    }
+
+    /// The sub-table over the candidates `key` (ascending, each one of
+    /// `self.ids`): every column shared with this table — one `Arc` bump
+    /// per candidate, no evaluation — and every value copied, so the
+    /// result equals [`ServedTable::build_for`] over `key` on the state
+    /// this table was built (or kept in sync) for, bit for bit. `stats` is
+    /// zero: a projection evaluates nothing.
+    ///
+    /// # Panics
+    /// Panics when `key` names a candidate this table does not hold.
+    pub fn project(&self, key: &[FacilityId]) -> ServedTable {
+        let mut table = ServedTable {
+            ids: key.to_vec(),
+            masks: Vec::with_capacity(key.len()),
+            values: Vec::with_capacity(key.len()),
+            stats: EvalStats::default(),
+        };
+        // Both id lists ascend: one forward walk finds every row.
+        let mut have = self.ids.iter().enumerate();
+        for id in key {
+            let (row, _) = have
+                .find(|(_, h)| *h == id)
+                .expect("projected candidate is in the table");
+            table.masks.push(self.masks[row].clone());
+            table.values.push(self.values[row]);
+        }
+        table
     }
 
     /// Number of candidates.

@@ -37,7 +37,11 @@
 //! parallel** — each shard revalidates and WAL-logs its sub-batch
 //! independently — and the front memo is kept key-for-key in lockstep with
 //! the shard memos so every merged table's parts stay incrementally
-//! maintained.
+//! maintained. On a warmed front that memo is the merged full table and
+//! nothing else: a restricted-candidate query projects its table from it
+//! (`engine::session`), so it reaches no shard — no scatter, no thread
+//! scope, no shard-memo traffic — and only an unwarmed front ever builds
+//! (and admits, in lockstep) a subset table.
 //!
 //! # Durability: per-shard stores + a routing log
 //!
@@ -252,20 +256,20 @@ impl ShardedEngine {
         bounds: Option<Rect>,
     ) -> ShardedEngine {
         let shard0 = engines[0].snapshot();
-        let snapshot = Arc::new(Snapshot {
-            epoch: 0,
-            users: Arc::new(users),
+        let snapshot = Arc::new(Snapshot::new(
+            0,
+            Arc::new(users),
             // Shard 0's allocation, not a copy: its identity is how
             // `ShardSet::shard_tables` tells the registered set from a
             // restricted sub-set.
-            facilities: shard0.facilities.clone(),
-            model: shard0.model,
-            backend: Arc::new(Backend::Sharded(ShardSet {
+            shard0.facilities.clone(),
+            shard0.model,
+            Arc::new(Backend::Sharded(ShardSet {
                 shards: engines.iter().map(|e| e.snapshot()).collect(),
                 locals: locals.into_iter().map(Arc::new).collect(),
             })),
-            tables: FxHashMap::default(),
-        });
+            FxHashMap::default(),
+        ));
         ShardedEngine {
             engines,
             partitioner,
@@ -303,14 +307,14 @@ impl ShardedEngine {
         set: ShardSet,
         tables: FxHashMap<Vec<FacilityId>, Arc<ServedTable>>,
     ) {
-        let snapshot = Arc::new(Snapshot {
-            epoch: self.snapshot.epoch + 1,
+        let snapshot = Arc::new(Snapshot::new(
+            self.snapshot.epoch + 1,
             users,
-            facilities: self.snapshot.facilities.clone(),
-            model: self.snapshot.model,
-            backend: Arc::new(Backend::Sharded(set)),
+            self.snapshot.facilities.clone(),
+            self.snapshot.model,
+            Arc::new(Backend::Sharded(set)),
             tables,
-        });
+        ));
         self.snapshot = snapshot.clone();
         self.slot.store(snapshot);
     }
@@ -320,7 +324,8 @@ impl ShardedEngine {
     /// Answers a typed [`Query`] on the published snapshot — the same
     /// `session::execute` every [`Reader`] runs — memoizing any merged
     /// table the query had to build (and the per-shard tables behind it,
-    /// keeping the shard memos in lockstep). Bit-identical to
+    /// keeping the shard memos in lockstep); a table projected from the
+    /// merged full table touches neither memo nor shard. Bit-identical to
     /// [`Engine::run`] on one engine over the union of the shards' users.
     pub fn run(&mut self, query: Query) -> Result<Answer, EngineError> {
         let (answer, outcome) = session::execute(&self.snapshot, &query)?;
@@ -377,17 +382,17 @@ impl ShardedEngine {
     /// and publishes: the sharded sibling of [`Engine::warm`].
     pub fn warm(&mut self) -> &ServedTable {
         let snap = &self.snapshot;
-        let all: Vec<FacilityId> = snap.facilities.iter().map(|(id, _)| id).collect();
-        if !snap.tables.contains_key(&all) {
+        if snap.full.is_none() {
+            let all: Vec<FacilityId> = snap.facilities.iter().map(|(id, _)| id).collect();
             let (merged, parts) = self.shard_set().served_table_parts(
                 &snap.users,
                 &snap.model,
                 &snap.facilities,
                 &all,
             );
-            self.absorb(all.clone(), Arc::new(merged), parts);
+            self.absorb(all, Arc::new(merged), parts);
         }
-        &self.snapshot.tables[&all]
+        self.snapshot.full_table().expect("absorbed above")
     }
 
     // -- updates ------------------------------------------------------------

@@ -31,7 +31,7 @@ use crate::engine::{Engine, EngineError, TableMemo};
 use crate::persist::StoreConfig;
 use std::path::Path;
 use tq_store::manifest::{ShardManifest, ROUTING_FILE};
-use tq_trajectory::{FacilityId, TrajectoryId, UserSet};
+use tq_trajectory::{TrajectoryId, UserSet};
 
 /// The implementation behind [`Engine::open_sharded_with`].
 pub(crate) fn open_sharded(dir: &Path, config: StoreConfig) -> Result<ShardedEngine, EngineError> {
@@ -205,13 +205,7 @@ pub(crate) fn open_sharded(dir: &Path, config: StoreConfig) -> Result<ShardedEng
     // When every shard recovered a warmed full-facility table, re-merge
     // it so the front end cold-starts warm too (mirroring single-engine
     // open, which recovers the warmed table from its snapshot).
-    let all: Vec<FacilityId> = engine
-        .snapshot
-        .facilities
-        .iter()
-        .map(|(id, _)| id)
-        .collect();
-    if all_warm && !all.is_empty() {
+    if all_warm && !engine.snapshot.facilities.is_empty() {
         engine.warm();
     }
     Ok(engine)

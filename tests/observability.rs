@@ -22,7 +22,7 @@ fn lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-fn build(baseline: bool) -> Engine {
+fn build_unwarmed(baseline: bool) -> Engine {
     let city = CityModel::synthetic(5, 5, 1_000.0);
     let users = taxi_trips(&city, 250, 5);
     let routes = bus_routes(&city, 12, 6, 400.0, 0xB05);
@@ -31,19 +31,27 @@ fn build(baseline: bool) -> Engine {
         .facilities(routes)
         .tree_config(TqTreeConfig::default().with_beta(8))
         .bounds(city.bounds.expand(1.0));
-    let mut engine = if baseline { b.baseline() } else { b }
+    if baseline { b.baseline() } else { b }
         .build()
-        .expect("test engine builds");
+        .expect("test engine builds")
+}
+
+fn build(baseline: bool) -> Engine {
+    let mut engine = build_unwarmed(baseline);
     engine.warm();
     engine
 }
 
-/// Memo-hitting and locally-built queries, both solver families.
+/// Both solver families, over all facilities and over a subset. On a
+/// warmed engine the first two hit the memo and the last two are projected
+/// from the full table; on an unwarmed one the top-ks search the index
+/// (no table) and the covers build theirs.
 fn script() -> Vec<Query> {
     vec![
         Query::top_k(4),
         Query::max_cov(2),
         Query::top_k(3).candidates(&[0, 2, 4, 6]),
+        Query::max_cov(2).candidates(&[1, 3, 5, 7, 9]),
     ]
 }
 
@@ -84,8 +92,14 @@ fn registry_totals_match_concurrent_observations_on_both_backends() {
     obs::set_enabled(true);
     const THREADS: usize = 4;
     const ROUNDS: usize = 5;
-    for (baseline, label) in [(false, "backend=\"tq-tree\""), (true, "backend=\"baseline\"")] {
-        let engine = build(baseline);
+    for (baseline, warmed, label) in [
+        (false, true, "backend=\"tq-tree\""),
+        (true, true, "backend=\"baseline\""),
+        (false, false, "backend=\"tq-tree\""),
+        (true, false, "backend=\"baseline\""),
+    ] {
+        let engine = if warmed { build(baseline) } else { build_unwarmed(baseline) };
+        let what = format!("{label}, warmed={warmed}");
         let reader = engine.reader();
         let before = obs::snapshot();
         std::thread::scope(|s| {
@@ -106,19 +120,28 @@ fn registry_totals_match_concurrent_observations_on_both_backends() {
 
         let counted =
             after.counter("tq_queries_total", label) - before.counter("tq_queries_total", label);
-        assert_eq!(counted, ran, "{label}: query counter vs queries run");
+        assert_eq!(counted, ran, "{what}: query counter vs queries run");
         let hist = hist_count(&after, "tq_query_latency_ns", label)
             - hist_count(&before, "tq_query_latency_ns", label);
-        assert_eq!(hist, ran, "{label}: histogram count vs queries run");
+        assert_eq!(hist, ran, "{what}: histogram count vs queries run");
 
-        // Cache verdicts never exceed the queries that produced them,
-        // and the warmed full-set queries must actually hit.
-        let hits = after.counter("tq_query_cache_hits_total", "")
-            - before.counter("tq_query_cache_hits_total", "");
-        let misses = after.counter("tq_query_cache_misses_total", "")
-            - before.counter("tq_query_cache_misses_total", "");
-        assert!(hits + misses <= ran, "{label}: {hits} hits + {misses} misses > {ran}");
-        assert!(hits > 0, "{label}: warmed full-set queries never hit the memo");
+        // Cache verdicts are exactly the queries that read a table: all
+        // four of the script on a warmed engine (two memo hits, two
+        // projections), the two covers on an unwarmed one (both built).
+        // And a projection is a kind of miss, never more than them.
+        let moved = |name: &str| after.counter(name, "") - before.counter(name, "");
+        let hits = moved("tq_query_cache_hits_total");
+        let misses = moved("tq_query_cache_misses_total");
+        let projected = moved("tq_query_projected_total");
+        let with_table = if warmed { ran } else { ran / 2 };
+        assert_eq!(hits + misses, with_table, "{what}: {hits} hits + {misses} misses");
+        assert!(projected <= misses, "{what}: {projected} projected > {misses} misses");
+        if warmed {
+            assert_eq!(hits, ran / 2, "{what}: warmed full-set queries never hit the memo");
+            assert_eq!(projected, misses, "{what}: a warmed node built a subset table");
+        } else {
+            assert_eq!((hits, projected), (0, 0), "{what}: nothing to hit or project from");
+        }
     }
 }
 

@@ -56,9 +56,11 @@ fn baseline_builder(
 struct Fingerprint {
     top_k: Vec<(u32, u64)>,
     top_cache: String,
-    /// Restricted-candidate top-k: never memoized, so on the sharded front
-    /// it always takes the sub-`FacilitySet` search through
-    /// `ShardSet::top_k` (dense sub-ids mapped back to real ids).
+    /// Restricted-candidate top-k: never memoized. Until the first
+    /// full-candidate cover warms the engine, the sharded front takes the
+    /// sub-`FacilitySet` search through `ShardSet::top_k` (dense sub-ids
+    /// mapped back to real ids); from then on both engines rank a
+    /// projection of their full table.
     top_subset: Vec<(u32, u64)>,
     top_subset_cache: String,
     covers: Vec<(Vec<u32>, u64, usize, String)>,
@@ -227,6 +229,29 @@ fn warm_and_cached_queries_hit_identically() {
         .build_sharded()
         .unwrap();
 
+    // Subset max-cov on the unwarmed pair: Miss then Hit, mirrored.
+    let ids: Vec<u32> = routes.iter().map(|(id, _)| id).take(4).collect();
+    let q = || Query::max_cov(2).candidates(&ids);
+    let mut unwarmed = None;
+    for (pass, want_hit) in [(1, false), (2, true)] {
+        let a = single.run(q()).unwrap();
+        let b = sharded.run(q()).unwrap();
+        assert_eq!(
+            a.explain.cache.is_hit(),
+            want_hit,
+            "single pass {pass}"
+        );
+        assert_eq!(
+            b.explain.cache.is_hit(),
+            want_hit,
+            "sharded pass {pass}"
+        );
+        assert_eq!(a.cover().chosen, b.cover().chosen);
+        assert_eq!(a.cover().value.to_bits(), b.cover().value.to_bits());
+        unwarmed = Some(a);
+    }
+    let unwarmed = unwarmed.expect("two passes ran");
+
     // Warm both: merged full table must carry the single engine's bits.
     let want: Vec<(u32, u64)> = {
         let t = single.warm();
@@ -254,25 +279,43 @@ fn warm_and_cached_queries_hit_identically() {
     assert!(b.explain.cache.is_hit());
     assert_eq!(a.ranked(), b.ranked());
 
-    // Subset max-cov: Miss then Hit, mirrored.
-    let ids: Vec<u32> = routes.iter().map(|(id, _)| id).take(4).collect();
-    for (pass, want_hit) in [(1, false), (2, true)] {
-        let q = || Query::max_cov(2).candidates(&ids);
-        let a = single.run(q()).unwrap();
-        let b = sharded.run(q()).unwrap();
-        assert_eq!(
-            a.explain.cache.is_hit(),
-            want_hit,
-            "single pass {pass}"
-        );
-        assert_eq!(
-            b.explain.cache.is_hit(),
-            want_hit,
-            "sharded pass {pass}"
-        );
-        assert_eq!(a.cover().chosen, b.cover().chosen);
-        assert_eq!(a.cover().value.to_bits(), b.cover().value.to_bits());
+    // The mirror on the warmed pair: a subset nobody memoized is projected
+    // from the (merged) full table — Miss, Miss, nothing published, nothing
+    // admitted on the front or on any shard, no shard consulted, and the
+    // bits of an unwarmed engine's build.
+    let other: Vec<u32> = routes.iter().map(|(id, _)| id).skip(2).take(4).collect();
+    let want = tree_builder(model, &trace, &routes)
+        .build()
+        .unwrap()
+        .run(Query::max_cov(2).candidates(&other))
+        .unwrap();
+    assert!(want.explain.eval.nodes_visited > 0, "setup: the unwarmed engine evaluated");
+    let (epoch_a, epoch_b) = (single.epoch(), sharded.epoch());
+    let shard_epochs: Vec<u64> = (0..4).map(|s| sharded.shard(s).epoch()).collect();
+    for pass in 1..=2 {
+        let a = single.run(Query::max_cov(2).candidates(&other)).unwrap();
+        let b = sharded.run(Query::max_cov(2).candidates(&other)).unwrap();
+        for (name, got) in [("single", &a), ("sharded", &b)] {
+            assert_eq!(got.explain.cache, CacheStatus::Miss, "{name} pass {pass}");
+            assert_eq!(got.explain.eval.nodes_visited, 0, "{name} pass {pass}");
+            assert_eq!(got.cover().chosen, want.cover().chosen);
+            assert_eq!(got.cover().value.to_bits(), want.cover().value.to_bits());
+            assert_eq!(got.cover().users_served, want.cover().users_served);
+        }
     }
+    assert_eq!((single.epoch(), sharded.epoch()), (epoch_a, epoch_b));
+    assert!(single.cached_table(&other).is_none() && sharded.cached_table(&other).is_none());
+    for (s, epoch) in shard_epochs.iter().enumerate() {
+        assert_eq!(sharded.shard(s).epoch(), *epoch, "shard {s} was touched");
+        assert!(sharded.shard(s).cached_table(&other).is_none());
+    }
+    // The subset memoized before the warm still answers as a Hit, with the
+    // bits it had.
+    let a = single.run(q()).unwrap();
+    let b = sharded.run(q()).unwrap();
+    assert!(a.explain.cache.is_hit() && b.explain.cache.is_hit());
+    assert_eq!(a.cover().value.to_bits(), unwarmed.cover().value.to_bits());
+    assert_eq!(b.cover().value.to_bits(), unwarmed.cover().value.to_bits());
 }
 
 #[test]

@@ -122,3 +122,67 @@ fn inserts_keep_queries_exact() {
         assert!((g - w).abs() < 1e-9);
     }
 }
+
+/// The TQ-tree's pruning on the benchmark's own state, pinned as exact
+/// integer totals.
+///
+/// `loadgen` reports `core.eval.{nodes,tested,pruned,dist_checks}_per_miss`,
+/// `core.eval.prune_ratio` and `core.topk.relaxations_per_miss` from its
+/// *warmed* node, where a restricted-candidate query is a projection of the
+/// full table and searches nothing — those rows read 0 there. The search
+/// still answers every unwarmed engine, so its work is held here instead:
+/// an unwarmed engine over the benchmark's state (`ny_city`, 20 000 trips,
+/// 128 routes of 16 stops, state seed `0x9A5`, Transit ψ = 200 m, TQ(Z)
+/// β = 64) asked the benchmark's questions (`top_k(8)` and greedy
+/// `max_cov(4)` over 64 seeded 24-candidate subsets, drawn as
+/// `loadgen --seed 11` draws them). A change that prunes less — or visits,
+/// tests or relaxes more — moves a total; one that prunes more should
+/// re-record them and say so.
+#[test]
+fn pruning_on_the_benchmark_state_is_pinned() {
+    const STATE_SEED: u64 = 0x9A5;
+    let city = presets::ny_city();
+    let engine = Engine::builder(ServiceModel::new(Scenario::Transit, presets::DEFAULT_PSI))
+        .users(taxi_trips(&city, 20_000, STATE_SEED))
+        .facilities(bus_routes(&city, 128, 16, presets::ROUTE_LENGTH, STATE_SEED ^ 0xB05))
+        .tree_config(TqTreeConfig::z_order(Placement::TwoPoint).with_beta(64))
+        .bounds(city.bounds)
+        .build()
+        .unwrap();
+    let snap = engine.snapshot();
+    assert!(snap.full_table().is_none(), "the pinned work is the unwarmed engine's");
+
+    // splitmix64 behind a Fisher–Yates shuffle, as in the benchmark's `Mix`.
+    let mut state = 11u64 ^ 0x5B5E_7500;
+    let mut below = |n: usize| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    };
+    let (mut nodes, mut tested, mut pruned, mut dist_checks, mut relaxations) = (0, 0, 0, 0, 0);
+    for _ in 0..64 {
+        let mut ids: Vec<u32> = (0..128).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, below(i + 1));
+        }
+        ids.truncate(24);
+        for query in [Query::top_k(8), Query::max_cov(4)] {
+            let explain = snap.run(query.candidates(&ids).threads(1)).unwrap().explain;
+            assert_ne!(explain.cache, CacheStatus::Hit);
+            nodes += explain.eval.nodes_visited;
+            tested += explain.eval.items_tested;
+            pruned += explain.eval.items_pruned;
+            dist_checks += explain.eval.distance_checks;
+            relaxations += explain.relaxations;
+        }
+    }
+    // Per query (÷ 128): 206.3 nodes, 10 528 tested, 101 063 pruned, 99 625
+    // distance checks, 53.35 relaxations; prune ratio 0.9057 — the rows the
+    // benchmark's traced run reported before projection.
+    assert_eq!(
+        (nodes, tested, pruned, dist_checks, relaxations),
+        (26_410, 1_347_599, 12_936_005, 12_752_062, 6_829)
+    );
+}
