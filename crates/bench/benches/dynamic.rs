@@ -8,10 +8,12 @@
 //! trajectory store and then rebuilds the TQ-tree and the full
 //! [`ServedTable`] — what a static pipeline must do to stay correct.
 //!
-//! After the timed runs the bench prints the engine's accumulated
-//! [`UpdateStats`], showing the fraction of full facility evaluations the
-//! incremental path skipped (the acceptance bar is >50% at a 1% update
-//! rate; in practice nearly all of them are skipped).
+//! At the end of each rate the bench checks that the incremental engine's
+//! full table — ids and value bits — equals the rebuild arm's table built
+//! from scratch over the engine's live set, and exits non-zero if not.
+//! After the timed runs it prints the engine's accumulated
+//! [`UpdateStats`]: how many facilities each batch left untouched or
+//! patched, where the rebuild arm evaluates every one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tq_core::dynamic::{Update, UpdateStats};
@@ -20,6 +22,7 @@ use tq_core::maxcov::ServedTable;
 use tq_core::service::{Scenario, ServiceModel};
 use tq_core::tqtree::{Placement, TqTree, TqTreeConfig};
 use tq_datagen::{presets, stream_scenario, StreamKind, StreamScenario};
+use tq_geometry::Rect;
 use tq_trajectory::{FacilitySet, Trajectory, UserSet};
 
 const USERS: usize = 10_000;
@@ -76,6 +79,28 @@ impl RebuildState {
     }
 }
 
+/// The rebuild arm's work per batch: a fresh TQ-tree and full table over
+/// the live set.
+fn rebuild(
+    live: &UserSet,
+    model: &ServiceModel,
+    facilities: &FacilitySet,
+    bounds: Rect,
+) -> ServedTable {
+    let tree = TqTree::build_with_bounds(live, tree_config(), bounds);
+    ServedTable::build(&tree, live, model, facilities)
+}
+
+/// A table's ids and value bits — what the two arms must agree on.
+fn table_bits(table: &ServedTable) -> Vec<(u32, u64)> {
+    table
+        .ids
+        .iter()
+        .zip(&table.values)
+        .map(|(id, v)| (*id, v.to_bits()))
+        .collect()
+}
+
 fn bench_incremental_vs_rebuild(c: &mut Criterion) {
     let model = ServiceModel::new(Scenario::Transit, presets::DEFAULT_PSI);
     let facilities: FacilitySet = presets::ny_bus(ROUTES, STOPS);
@@ -121,6 +146,15 @@ fn bench_incremental_vs_rebuild(c: &mut Criterion) {
         );
         accumulated.add(engine.stats());
         stats_per_rate.push((rate, accumulated));
+        let maintained = engine.full_table().expect("warmed at construction");
+        let fresh = rebuild(&engine.live_set(), &model, &facilities, trace.bounds);
+        assert_eq!(
+            table_bits(maintained),
+            table_bits(&fresh),
+            "{label}: the incremental table diverged from a rebuild over the same live set \
+             after {} batches",
+            engine.stats().batches
+        );
 
         // Rebuild: apply the batch, then rebuild index + ServedTable.
         let mut state = RebuildState::new(&trace.initial);
@@ -136,40 +170,28 @@ fn bench_incremental_vs_rebuild(c: &mut Criterion) {
                     }
                     state.apply(&batches[idx]);
                     idx += 1;
-                    let live = state.live();
-                    let tree = TqTree::build_with_bounds(&live, tree_config(), trace.bounds);
-                    let table = ServedTable::build(&tree, &live, &model, &facilities);
-                    table.len()
+                    rebuild(&state.live(), &model, &facilities, trace.bounds).len()
                 })
             },
         );
     }
     group.finish();
 
-    println!("\nUpdateStats per rate ({USERS} users, {ROUTES} routes, batches of rate×users events):");
+    println!(
+        "\nUpdateStats per rate ({USERS} users, {ROUTES} routes, batches of rate×users events):"
+    );
     for (rate, s) in &stats_per_rate {
         println!(
             "  {:>5.1}%: {:>5} batches | full facility evaluations: rebuild strategy {:>7}, \
-             engine {:>5} → {:>5.1}% skipped ({:.1}% untouched, {} delta patches)",
+             engine 0 → {:.1}% untouched, {} patched ({} delta patches)",
             rate * 100.0,
             s.batches,
             s.rebuild_evaluations(),
-            s.facilities_reevaluated,
-            100.0 * s.skipped_fraction(),
             100.0 * s.untouched_fraction(),
+            s.facilities_patched,
             s.patch_evaluations,
         );
     }
-    let one_pct = stats_per_rate
-        .iter()
-        .find(|(r, _)| (*r - 0.01).abs() < 1e-12)
-        .map(|(_, s)| s.skipped_fraction())
-        .unwrap_or(0.0);
-    assert!(
-        one_pct > 0.5,
-        "expected >50% of facility evaluations skipped at the 1% update rate, got {:.1}%",
-        100.0 * one_pct
-    );
 }
 
 criterion_group!(benches, bench_incremental_vs_rebuild);

@@ -690,14 +690,13 @@ fn cmd_stream(raw: Vec<String>) -> CliResult {
         apply_secs += secs;
         println!(
             "batch {:>3}: {:>4} events in {:>7.1}ms | {} live | facilities: \
-             {} untouched, {} patched, {} reevaluated",
+             {} untouched, {} patched",
             i + 1,
             updates.len(),
             secs * 1e3,
             engine.live_users(),
             out.untouched,
             out.patched,
-            out.reevaluated,
         );
     }
     let s = *engine.stats();
@@ -713,12 +712,12 @@ fn cmd_stream(raw: Vec<String>) -> CliResult {
         );
     }
     println!(
-        "        rebuild-every-batch would evaluate {} facilities; the engine fully \
-         re-evaluated {} ({:.1}% skipped, {:.1}% untouched outright)",
+        "        rebuild-every-batch would evaluate {} facilities; the engine patched \
+         {} and left {:.1}% untouched outright ({} delta mask tests)",
         s.rebuild_evaluations(),
-        s.facilities_reevaluated,
-        100.0 * s.skipped_fraction(),
+        s.facilities_patched,
         100.0 * s.untouched_fraction(),
+        s.patch_evaluations,
     );
     let answer = engine.run(Query::top_k(k))?;
     println!("kMaxRRST top-{k} ({scenario:?}, ψ={psi}) over the final live set:");

@@ -7,9 +7,9 @@
 //! queries interleaved. This module defines the vocabulary of that workload
 //! ([`Update`], [`UpdateError`], [`UpdateStats`], [`BatchOutcome`]); the
 //! *maintenance machinery itself lives in the unified engine's
-//! single-writer control plane* — [`Engine::apply`] keeps every memoized
-//! [`ServedTable`](crate::maxcov::ServedTable) in sync across batches and
-//! publishes each batch as a
+//! single-writer control plane* — [`Engine::apply`] keeps the warmed
+//! full-facility [`ServedTable`](crate::maxcov::ServedTable) in sync across
+//! batches and publishes each batch as a
 //! new immutable [`Snapshot`](crate::engine::Snapshot) epoch, so static,
 //! streaming and concurrent-serving callers share one type (see
 //! [`crate::serve`] for the multi-reader side).
@@ -23,12 +23,9 @@
 //! inserted/removed trajectory is *untouched* — zero work. A touched
 //! facility is *patched*: only the delta trajectories are tested against
 //! its stops (masks are independent per trajectory, so a patch is exact,
-//! not an approximation). When a batch touches a facility with more deltas
-//! than [`EngineBuilder::rebuild_fraction`](crate::engine::EngineBuilder::rebuild_fraction)
-//! of the live set, patching would
-//! approach the cost of a fresh evaluation, so the engine falls back to a
-//! *targeted rebuild* of just that facility's cache through the TQ-tree —
-//! fanned out across threads together with all other rebuilds of the batch.
+//! not an approximation). Patching is the only maintenance path: it stays
+//! cheaper than re-evaluating a touched facility through the tree even for
+//! batches as large as half the live set.
 //!
 //! # Bit-identity
 //!
@@ -153,9 +150,8 @@ impl std::error::Error for UpdateError {}
 ///
 /// A rebuild-from-scratch strategy performs `|F|` full facility evaluations
 /// per batch. The engine instead classifies each facility per batch as
-/// *untouched* (EMBR disjoint from every delta — zero work), *patched*
-/// (only the delta trajectories tested against its stops) or *reevaluated*
-/// (targeted full rebuild of its cache through the tree).
+/// *untouched* (EMBR disjoint from every delta — zero work) or *patched*
+/// (only the delta trajectories tested against its stops).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Batches applied.
@@ -166,10 +162,8 @@ pub struct UpdateStats {
     pub removes: u64,
     /// Facility×batch pairs with zero work (EMBR disjoint from all deltas).
     pub facilities_untouched: u64,
-    /// Facility×batch pairs updated by delta patching only.
+    /// Facility×batch pairs updated by delta patching.
     pub facilities_patched: u64,
-    /// Facility×batch pairs fully re-evaluated through the TQ-tree.
-    pub facilities_reevaluated: u64,
     /// Exact point-vs-stop mask computations performed while patching
     /// (one per relevant (facility, inserted trajectory) pair).
     pub patch_evaluations: u64,
@@ -184,24 +178,12 @@ impl UpdateStats {
         self.removes += other.removes;
         self.facilities_untouched += other.facilities_untouched;
         self.facilities_patched += other.facilities_patched;
-        self.facilities_reevaluated += other.facilities_reevaluated;
         self.patch_evaluations += other.patch_evaluations;
     }
 
     /// Facility evaluations a rebuild-every-batch strategy would have done.
     pub fn rebuild_evaluations(&self) -> u64 {
-        self.facilities_untouched + self.facilities_patched + self.facilities_reevaluated
-    }
-
-    /// Fraction of those full facility evaluations the engine skipped
-    /// (untouched or replaced by a delta patch). This is the headline
-    /// incremental-vs-rebuild saving.
-    pub fn skipped_fraction(&self) -> f64 {
-        let total = self.rebuild_evaluations();
-        if total == 0 {
-            return 0.0;
-        }
-        1.0 - self.facilities_reevaluated as f64 / total as f64
+        self.facilities_untouched + self.facilities_patched
     }
 
     /// Fraction of facility×batch pairs that required no work at all.
@@ -225,14 +207,12 @@ pub struct BatchOutcome {
     pub untouched: usize,
     /// Facilities updated by delta patching.
     pub patched: usize,
-    /// Facilities fully re-evaluated through the tree.
-    pub reevaluated: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineError, Query, DEFAULT_REBUILD_FRACTION};
+    use crate::engine::{Engine, EngineError, Query};
     use crate::maxcov::{greedy, CovOutcome, ServedTable};
     use crate::service::{Scenario, ServiceModel};
     use crate::top_k_facilities;
@@ -291,14 +271,12 @@ mod tests {
         facilities: FacilitySet,
         model: ServiceModel,
         tree: TqTreeConfig,
-        rebuild_fraction: f64,
     ) -> Engine {
         let mut engine = Engine::builder(model)
             .users(users)
             .facilities(facilities)
             .tree_config(tree)
             .bounds(bounds())
-            .rebuild_fraction(rebuild_fraction)
             .build()
             .unwrap();
         engine.warm();
@@ -335,7 +313,6 @@ mod tests {
             random_facilities(24, 73),
             ServiceModel::new(Scenario::Transit, 4.0),
             tree,
-            DEFAULT_REBUILD_FRACTION,
         );
         for _ in 0..6 {
             let mut batch = Vec::new();
@@ -370,37 +347,62 @@ mod tests {
         assert!(engine.stats().batches == 6);
     }
 
+    /// One batch of 250 events over 200 live trips: some facility meets
+    /// more relevant deltas than a quarter of the live set, and patching —
+    /// the only maintenance path — still lands on a fresh build's table.
     #[test]
-    fn forced_rebuilds_agree_with_patching() {
+    fn a_batch_heavy_on_one_facility_patches_exactly() {
         let users = random_users(200, 81);
         let facilities = random_facilities(16, 82);
         let model = ServiceModel::new(Scenario::PointCount, 5.0);
-        let mk = |rebuild_fraction: f64| {
-            warmed(
-                users.clone(),
-                facilities.clone(),
-                model,
-                TqTreeConfig::default().with_beta(8),
-                rebuild_fraction,
-            )
-        };
-        let mut patching = mk(1.0);
-        let mut rebuilding = mk(0.0);
-        let extra = random_users(60, 83);
+        let tree = TqTreeConfig::default().with_beta(8);
+        let mut engine = warmed(users.clone(), facilities.clone(), model, tree);
+        let extra = random_users(150, 83);
         let batch: Vec<Update> = extra
             .iter()
             .map(|(_, t)| Update::Insert(t.clone()))
-            .chain((0..30).map(Update::Remove))
+            .chain((0..100).map(Update::Remove))
             .collect();
-        let a = patching.apply(&batch).unwrap();
-        let b = rebuilding.apply(&batch).unwrap();
-        assert_eq!(a.reevaluated, 0, "threshold 1.0 must always patch");
-        assert!(b.reevaluated > 0, "threshold 0.0 must always rebuild");
-        assert_eq!(top_k(&mut patching, 16), top_k(&mut rebuilding, 16));
-        let ga = greedy_cover(&mut patching, 4);
-        let gb = greedy_cover(&mut rebuilding, 4);
-        assert_eq!(ga.chosen, gb.chosen);
-        assert_eq!(ga.value, gb.value);
+        let live = users.len() + 150 - 100;
+        let quarter = (0.25 * live as f64).ceil() as usize;
+        let heaviest = facilities
+            .iter()
+            .map(|(_, f)| {
+                let embr = f.embr(model.psi);
+                batch
+                    .iter()
+                    .filter(|u| {
+                        let mbr = match u {
+                            Update::Insert(t) => t.mbr(),
+                            Update::Remove(id) => users.get(*id).mbr(),
+                        };
+                        embr.intersects(&mbr)
+                    })
+                    .count()
+            })
+            .max()
+            .unwrap();
+        assert!(heaviest > quarter, "setup: {heaviest} relevant deltas, a quarter is {quarter}");
+
+        let outcome = engine.apply(&batch).unwrap();
+        assert_eq!(outcome.untouched + outcome.patched, facilities.len());
+        assert!(outcome.patched > 0);
+        assert_eq!(engine.live_users(), live);
+
+        let got_top = top_k(&mut engine, 4);
+        let (want_top, want_cov) = fresh_answers(&engine, tree, 4);
+        let got_vals: Vec<f64> = got_top.iter().map(|(_, v)| *v).collect();
+        assert_eq!(got_vals, want_top);
+        let got_cov = greedy_cover(&mut engine, 4);
+        assert_eq!(got_cov.chosen, want_cov.chosen);
+        assert_eq!(got_cov.value.to_bits(), want_cov.value.to_bits());
+        let live_set = engine.live_set();
+        let fresh_tree = TqTree::build_with_bounds(&live_set, tree, bounds());
+        let fresh = ServedTable::build(&fresh_tree, &live_set, &model, &facilities);
+        let table = engine.full_table().unwrap();
+        for (fi, (got, want)) in table.values.iter().zip(&fresh.values).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "facility {fi}");
+        }
     }
 
     #[test]
@@ -410,7 +412,6 @@ mod tests {
             random_facilities(8, 92),
             ServiceModel::new(Scenario::Transit, 4.0),
             TqTreeConfig::default(),
-            DEFAULT_REBUILD_FRACTION,
         );
         let top_before = top_k(&mut engine, 8);
         // Insert fine, then remove a dead id: whole batch rejected.
@@ -457,7 +458,6 @@ mod tests {
             facilities,
             ServiceModel::new(Scenario::Transit, 2.0),
             TqTreeConfig::default(),
-            DEFAULT_REBUILD_FRACTION,
         );
         engine
             .apply(&[Update::Insert(Trajectory::two_point(
@@ -467,11 +467,9 @@ mod tests {
             .unwrap();
         assert_eq!(engine.stats().facilities_untouched, 1);
         assert_eq!(engine.stats().facilities_patched, 1);
-        assert_eq!(engine.stats().facilities_reevaluated, 0);
         let values = &engine.full_table().unwrap().values;
         assert_eq!(values[0], 2.0);
         assert_eq!(values[1], 0.0);
-        assert!(engine.stats().skipped_fraction() == 1.0);
         assert!(engine.stats().untouched_fraction() == 0.5);
     }
 
@@ -482,7 +480,6 @@ mod tests {
             random_facilities(6, 96),
             ServiceModel::new(Scenario::Transit, 5.0),
             TqTreeConfig::default(),
-            DEFAULT_REBUILD_FRACTION,
         );
         let top_before = top_k(&mut engine, 6);
         // The arriving trajectory gets id 40 and expires within the batch.

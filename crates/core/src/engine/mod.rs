@@ -7,15 +7,16 @@
 //!
 //! * **[`Snapshot`]** — the read plane: an immutable, epoch-numbered
 //!   version of the entire queryable state (users + facilities +
-//!   [`ServiceModel`] + backend index + frozen [`ServedTable`] memo, all
-//!   behind `Arc`). [`Snapshot::run`] answers typed [`Query`]s through
-//!   `&self` with **zero locks** — any number of threads serve queries
-//!   concurrently, each answer bit-identical to serial execution.
+//!   [`ServiceModel`] + backend index + the frozen full-facility
+//!   [`ServedTable`] once warmed, all behind `Arc`). [`Snapshot::run`]
+//!   answers typed [`Query`]s through `&self` with **zero locks** — any
+//!   number of threads serve queries concurrently, each answer
+//!   bit-identical to serial execution.
 //! * **[`Engine`]** — the single-writer control plane: owns the
 //!   publication slot, answers queries itself ([`Engine::run`], which
-//!   additionally memoizes the tables queries build), and applies
-//!   streaming [`Update`] batches ([`Engine::apply`]) by copy-on-write:
-//!   the user set, the TQ-tree and the table memo are persistent
+//!   additionally installs a full-facility table a query built), and
+//!   applies streaming [`Update`] batches ([`Engine::apply`]) by
+//!   copy-on-write: the user set, the TQ-tree and the table are persistent
 //!   structures, so a batch copies the tail user chunk, the q-node headers
 //!   and β-runs on the paths it writes and the table columns in which a
 //!   mask changes;
@@ -36,47 +37,42 @@
 //!                 │ index + touched tables│        │   └► Arc<Snapshot>   │
 //!                 │ → publish epoch e+1 ──┼──swap──┼──►                   │
 //! Engine::run ───►│ execute on epoch e;   │ (slot) │ snapshot.run(query)  │
-//!                 │ absorb built tables   │        │   &self, zero locks  │
+//!                 │ install a full table  │        │   &self, zero locks  │
 //!                 └───────────────────────┘        └──────────────────────┘
 //!        Query::top_k(k) / Query::max_cov(k).algorithm(..) → Answer + Explain
 //!        (epoch e stays valid for readers still on it; freed by refcount)
 //! ```
 //!
-//! # Memoization
+//! # The full-facility table
 //!
 //! The expensive artifact every MaxkCovRST solver consumes — the
-//! [`ServedTable`] of complete served-point masks — is memoized **per
-//! candidate set** in the published snapshot. A top-k query that follows a
-//! coverage query over the same candidates is answered straight from the
-//! frozen table (reported as [`CacheStatus::Hit`] in [`Explain`]). The
-//! full-facility table is pinned; subset tables are LRU-bounded by the
-//! [`EngineBuilder::subset_tables`] capacity (default
-//! [`DEFAULT_SUBSET_TABLES`], `0` disables subset caching) so the memo
-//! cannot grow without bound under shifting candidate sets. Memoization is
-//! a *control-plane* action: [`Engine::run`] absorbs the tables its
-//! queries build by publishing a successor snapshot, while
-//! [`Snapshot::run`] on the read plane builds missing tables locally and
-//! discards them — readers never mutate shared state.
+//! [`ServedTable`] of complete served-point masks — is kept for **all**
+//! registered facilities in the published snapshot, once the engine is
+//! warmed ([`Engine::warm`], or any full-candidate coverage query through
+//! [`Engine::run`]). A full-candidate query is then answered straight from
+//! the frozen table ([`CacheStatus::Hit`] in [`Explain`]). A facility's
+//! column does not depend on which other candidates a query names, so
+//! every restricted-candidate query — top-k and coverage alike, on either
+//! plane — takes its table as a [`ServedTable::project`]ion of it: one
+//! `Arc` bump per candidate, no index work ([`CacheStatus::Miss`] with zero
+//! counters), nothing published. A snapshot carries that one table or
+//! none.
 //!
-//! **A warmed engine builds no subset table at all.** A facility's column
-//! does not depend on which other candidates a query names, so once a
-//! snapshot carries the full-facility table ([`Engine::warm`], or any
-//! full-candidate coverage query) every restricted-candidate query — top-k
-//! and coverage alike, on either plane — takes its table as a
-//! [`ServedTable::project`]ion of it: one `Arc` bump per candidate, no index
-//! work ([`CacheStatus::Miss`] with zero counters), nothing absorbed,
-//! nothing published. The subset memo therefore only ever fills on an
-//! *unwarmed* engine, whose queries keep the paper's best-first search and
-//! per-candidate evaluation — the cold path, and the reference the
-//! projection is tested against (`maxcov/project_proptests.rs`).
+//! Installing it is a *control-plane* action: [`Engine::run`] publishes a
+//! successor snapshot carrying a full-facility table its query built,
+//! while [`Snapshot::run`] on the read plane builds what it misses locally
+//! and discards it — readers never mutate shared state. An *unwarmed*
+//! engine builds every subset table per query and keeps none; its queries
+//! run the paper's best-first search and per-candidate evaluation — the
+//! cold path, and the reference the projection is tested against
+//! (`maxcov/project_proptests.rs`).
 //!
-//! [`Engine::apply`] keeps every memoized table in sync incrementally (the
+//! [`Engine::apply`] keeps the table in sync incrementally (the
 //! [`dynamic`](crate::dynamic)-engine invalidation rule: facilities whose
 //! ψ-expanded EMBR misses every delta MBR are untouched — their columns,
-//! and a table none of whose facilities is touched, stay `Arc`-shared with
-//! the previous epoch at zero cost — touched ones are patched
-//! delta-by-delta, copying a column only when one of its masks changes,
-//! heavy ones re-evaluated through the tree).
+//! and the table when no facility is touched, stay `Arc`-shared with the
+//! previous epoch at zero cost — touched ones are patched delta-by-delta,
+//! copying a column only when one of its masks changes).
 //!
 //! # Bit-identity
 //!
@@ -155,21 +151,18 @@
 
 #![deny(missing_docs)]
 
-mod memo;
 pub(crate) mod session;
 mod snapshot;
 
-pub use memo::DEFAULT_SUBSET_TABLES;
 pub use session::{Algorithm, Answer, CacheStatus, Explain, Query, QueryResult};
 pub use snapshot::{PlaneInfo, Reader, Snapshot};
 
-pub(crate) use memo::TableMemo;
 pub(crate) use snapshot::SnapshotSlot;
 
 use crate::baseline::BaselineIndex;
 use crate::dynamic::{BatchOutcome, Update, UpdateError, UpdateStats};
 use crate::eval::EvalOutcome;
-use crate::fasthash::{FxHashMap, FxHashSet};
+use crate::fasthash::FxHashSet;
 use crate::maxcov::ServedTable;
 use crate::parallel;
 use crate::persist::{Durable, StoreConfig};
@@ -182,10 +175,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use tq_geometry::Rect;
 use tq_trajectory::{Facility, FacilityId, FacilitySet, TrajectoryId, UserSet};
-
-/// Default patch-vs-rebuild threshold for [`Engine::apply`] (see
-/// [`EngineBuilder::rebuild_fraction`]).
-pub const DEFAULT_REBUILD_FRACTION: f64 = 0.25;
 
 // ---------------------------------------------------------------------------
 // The Index trait and the Backend enum
@@ -229,24 +218,6 @@ pub trait Index {
         facilities: &FacilitySet,
         candidates: &[FacilityId],
     ) -> ServedTable;
-
-    /// [`Index::served_table`], additionally handing out the per-partition
-    /// tables the result was merged from, in partition order — what a
-    /// partitioned index's control plane memoizes next to the merged table
-    /// so updates can maintain the parts incrementally. Unpartitioned
-    /// indexes (the default) have no parts.
-    fn served_table_parts(
-        &self,
-        users: &UserSet,
-        model: &ServiceModel,
-        facilities: &FacilitySet,
-        candidates: &[FacilityId],
-    ) -> (ServedTable, Vec<Arc<ServedTable>>) {
-        (
-            self.served_table(users, model, facilities, candidates),
-            Vec::new(),
-        )
-    }
 }
 
 impl Index for TqTree {
@@ -515,8 +486,6 @@ pub struct EngineBuilder {
     pub(crate) facilities: FacilitySet,
     pub(crate) backend: BackendChoice,
     pub(crate) bounds: Option<Rect>,
-    pub(crate) rebuild_fraction: f64,
-    pub(crate) subset_tables: usize,
     pub(crate) persist: Option<(PathBuf, StoreConfig)>,
     /// Shard count for [`EngineBuilder::build_sharded`]; ignored by
     /// [`EngineBuilder::build`].
@@ -563,30 +532,6 @@ impl EngineBuilder {
     /// baseline backend.
     pub fn bounds(mut self, bounds: Rect) -> EngineBuilder {
         self.bounds = Some(bounds);
-        self
-    }
-
-    /// Patch-vs-rebuild threshold for [`Engine::apply`]: when one batch
-    /// carries more relevant deltas for a facility than this fraction of
-    /// the live trajectory count, the facility's cached masks are rebuilt
-    /// through the tree instead of patched delta-by-delta. `0.0` forces a
-    /// rebuild for every touched facility; `1.0` effectively always
-    /// patches. Defaults to [`DEFAULT_REBUILD_FRACTION`].
-    pub fn rebuild_fraction(mut self, fraction: f64) -> EngineBuilder {
-        self.rebuild_fraction = fraction;
-        self
-    }
-
-    /// Capacity of the *subset* [`ServedTable`] memo: how many
-    /// non-full-candidate-set tables the engine keeps (LRU-evicted beyond
-    /// this). `0` disables subset caching entirely — subset coverage
-    /// queries then build their table per query, like snapshot readers do.
-    /// The pinned full-facility table is unaffected. Defaults to
-    /// [`DEFAULT_SUBSET_TABLES`]. Only an unwarmed engine admits subset
-    /// tables: once the full table is memoized, subsets are projected from
-    /// it and this capacity is never consulted.
-    pub fn subset_tables(mut self, capacity: usize) -> EngineBuilder {
-        self.subset_tables = capacity;
         self
     }
 
@@ -660,8 +605,6 @@ impl EngineBuilder {
             }
         };
         let mut engine = Engine::new(self.users, self.facilities, self.model, backend);
-        engine.rebuild_fraction = self.rebuild_fraction;
-        engine.memo = TableMemo::new(self.subset_tables);
         if let Some((dir, config)) = self.persist {
             crate::persist::attach_new_store(&mut engine, &dir, config)?;
         }
@@ -716,9 +659,10 @@ impl StageClock {
 
 /// The single-writer control plane over one user set, service model and
 /// backend: publishes [`Snapshot`]s for the read plane, answers queries
-/// itself (with memoization), and applies [`Update`] batches by
-/// copy-on-write. See the [module docs](self) for the two-plane design,
-/// the memoization rules and the bit-identity guarantees.
+/// itself (installing a full-facility table it built), and applies
+/// [`Update`] batches by copy-on-write. See the [module docs](self) for the
+/// two-plane design, the full-facility table and the bit-identity
+/// guarantees.
 #[derive(Debug)]
 pub struct Engine {
     /// The publication slot shared with every [`Reader`].
@@ -730,10 +674,6 @@ pub struct Engine {
     /// update-invalidation test. Facilities are immutable, so this never
     /// changes after construction.
     embrs: Vec<Rect>,
-    rebuild_fraction: f64,
-    /// Subset-table recency/capacity bookkeeping (the tables themselves
-    /// are frozen in the snapshot).
-    memo: TableMemo,
     stats: UpdateStats,
     /// The attached store when the engine is durable (see
     /// [`crate::persist`]); `None` for in-memory engines.
@@ -754,8 +694,6 @@ impl Clone for Engine {
             slot: Arc::new(SnapshotSlot::new(self.snapshot.clone())),
             snapshot: self.snapshot.clone(),
             embrs: self.embrs.clone(),
-            rebuild_fraction: self.rebuild_fraction,
-            memo: self.memo.clone(),
             stats: self.stats,
             durable: None,
         }
@@ -772,8 +710,6 @@ impl Engine {
             facilities: FacilitySet::new(),
             backend: BackendChoice::TqTree(TqTreeConfig::default()),
             bounds: None,
-            rebuild_fraction: DEFAULT_REBUILD_FRACTION,
-            subset_tables: DEFAULT_SUBSET_TABLES,
             persist: None,
             shards: 1,
             spatial: false,
@@ -788,60 +724,34 @@ impl Engine {
         model: ServiceModel,
         backend: Backend,
     ) -> Engine {
-        let embrs = facilities.iter().map(|(_, f)| f.embr(model.psi)).collect();
-        let snapshot = Arc::new(Snapshot::new(
-            0,
-            Arc::new(users),
-            Arc::new(facilities),
-            model,
-            Arc::new(backend),
-            FxHashMap::default(),
-        ));
-        Engine {
-            slot: Arc::new(SnapshotSlot::new(snapshot.clone())),
-            snapshot,
-            embrs,
-            rebuild_fraction: DEFAULT_REBUILD_FRACTION,
-            memo: TableMemo::new(DEFAULT_SUBSET_TABLES),
-            stats: UpdateStats::default(),
-            durable: None,
-        }
+        Engine::from_restored(users, facilities, model, backend, 0, None)
     }
 
     /// Reassembles an engine from decoded snapshot state — the
     /// deserialization counterpart of [`Engine::new`] that additionally
-    /// restores the publication epoch and the builder knobs (liveness
-    /// arrives inside `users`). Only [`crate::persist`] calls this.
-    #[allow(clippy::too_many_arguments)]
+    /// restores the publication epoch and the warmed table (liveness
+    /// arrives inside `users`).
     pub(crate) fn from_restored(
         users: UserSet,
         facilities: FacilitySet,
         model: ServiceModel,
         backend: Backend,
         epoch: u64,
-        rebuild_fraction: f64,
-        subset_tables: usize,
         full_table: Option<ServedTable>,
     ) -> Engine {
         let embrs = facilities.iter().map(|(_, f)| f.embr(model.psi)).collect();
-        let mut tables = FxHashMap::default();
-        if let Some(table) = full_table {
-            tables.insert(table.ids.clone(), Arc::new(table));
-        }
-        let snapshot = Arc::new(Snapshot::new(
+        let snapshot = Arc::new(Snapshot {
             epoch,
-            Arc::new(users),
-            Arc::new(facilities),
+            users: Arc::new(users),
+            facilities: Arc::new(facilities),
             model,
-            Arc::new(backend),
-            tables,
-        ));
+            backend: Arc::new(backend),
+            full: full_table.map(Arc::new),
+        });
         Engine {
             slot: Arc::new(SnapshotSlot::new(snapshot.clone())),
             snapshot,
             embrs,
-            rebuild_fraction,
-            memo: TableMemo::new(subset_tables),
             stats: UpdateStats::default(),
             durable: None,
         }
@@ -850,16 +760,6 @@ impl Engine {
     /// Attaches an opened store (see [`crate::persist`]).
     pub(crate) fn attach_store(&mut self, store: tq_store::Store) {
         self.durable = Some(Durable::new(store));
-    }
-
-    /// The patch-vs-rebuild threshold, for the snapshot codec.
-    pub(crate) fn rebuild_fraction(&self) -> f64 {
-        self.rebuild_fraction
-    }
-
-    /// The subset-table memo capacity, for the snapshot codec.
-    pub(crate) fn subset_table_capacity(&self) -> usize {
-        self.memo.capacity()
     }
 
     // -- the read plane -----------------------------------------------------
@@ -881,9 +781,9 @@ impl Engine {
     }
 
     /// The current publication epoch. Starts at 0; bumped by every
-    /// publication — update batches ([`Engine::apply`]) and table
-    /// absorptions ([`Engine::run`] misses that built a table,
-    /// [`Engine::warm`]).
+    /// publication — update batches ([`Engine::apply`]) and the
+    /// installation of the full-facility table ([`Engine::warm`], or an
+    /// [`Engine::run`] whose full-candidate query built it).
     pub fn epoch(&self) -> u64 {
         self.snapshot.epoch
     }
@@ -899,66 +799,42 @@ impl Engine {
 
     // -- queries ------------------------------------------------------------
 
-    /// Answers a typed [`Query`], memoizing any [`ServedTable`] the query
-    /// had to build (absorbed into a newly published snapshot, so
-    /// subsequent queries — on the engine *and* on every reader — hit it).
-    /// A table projected from the full-facility table is not a built one:
-    /// a restricted-candidate query on a warmed engine publishes nothing
-    /// and leaves the memo as it was.
+    /// Answers a typed [`Query`]. A full-candidate query that had to build
+    /// the full-facility [`ServedTable`] installs it in a newly published
+    /// snapshot — that *is* warming (see [`Engine::warm`]), so subsequent
+    /// queries on the engine and on every reader take their tables from
+    /// it. Any other table a query builds is discarded: on an unwarmed
+    /// engine a repeated subset query builds its table again and publishes
+    /// nothing.
     ///
     /// Validation errors ([`EngineError::EmptyCandidates`],
     /// [`EngineError::ZeroK`], [`EngineError::KExceedsCandidates`],
     /// [`EngineError::UnknownCandidate`]) are returned before any
     /// evaluation work happens.
     pub fn run(&mut self, query: Query) -> Result<Answer, EngineError> {
-        let (answer, outcome) = session::execute(&self.snapshot, &query)?;
-        if let Some(outcome) = outcome {
-            match outcome.built {
-                Some(table) => self.absorb_table(outcome.key, table),
-                None => self.memo.touch(&outcome.key),
-            }
+        let (answer, built) = session::execute(&self.snapshot, &query)?;
+        if let Some(table) = built {
+            self.install_full_table(table);
         }
         Ok(answer)
     }
 
-    /// Absorbs a freshly built table into the memo: admits it against the
-    /// capacity bound and publishes a successor snapshot carrying it (and
-    /// dropping any evicted ones). No-op for subset tables when subset
-    /// caching is disabled.
-    pub(crate) fn absorb_table(&mut self, key: Vec<FacilityId>, table: Arc<ServedTable>) {
-        let is_full = key.len() == self.snapshot.facilities.len();
-        let mut evicted = Vec::new();
-        if !is_full {
-            if self.memo.capacity() == 0 {
-                return;
-            }
-            evicted = self.memo.admit(key.clone());
-        }
-        let mut tables = self.snapshot.tables.clone();
-        for k in &evicted {
-            tables.remove(k);
-        }
-        tables.insert(key, table);
-        self.publish(Snapshot::new(
-            self.snapshot.epoch + 1,
-            self.snapshot.users.clone(),
-            self.snapshot.facilities.clone(),
-            self.snapshot.model,
-            self.snapshot.backend.clone(),
-            tables,
-        ));
+    /// Publishes a successor snapshot carrying `table` as the
+    /// full-facility table.
+    fn install_full_table(&mut self, table: Arc<ServedTable>) {
+        self.publish(Snapshot {
+            epoch: self.snapshot.epoch + 1,
+            users: self.snapshot.users.clone(),
+            facilities: self.snapshot.facilities.clone(),
+            model: self.snapshot.model,
+            backend: self.snapshot.backend.clone(),
+            full: Some(table),
+        });
     }
 
-    /// Refreshes a memoized subset table's recency (LRU order) without
-    /// running a query — used by the sharded front end to keep per-shard
-    /// memo eviction in lockstep with its own.
-    pub(crate) fn touch_table(&mut self, key: &[FacilityId]) {
-        self.memo.touch(key);
-    }
-
-    /// Pre-evaluates (and memoizes) the [`ServedTable`] over **all**
-    /// registered facilities, so subsequent full-candidate queries hit the
-    /// cache, restricted-candidate ones are projected from it, and
+    /// Pre-evaluates the [`ServedTable`] over **all** registered
+    /// facilities, so subsequent full-candidate queries hit it,
+    /// restricted-candidate ones are projected from it, and
     /// [`Engine::apply`] maintains it incrementally from the start.
     /// Publishes the snapshot carrying it and returns the table.
     pub fn warm(&mut self) -> &ServedTable {
@@ -970,18 +846,13 @@ impl Engine {
                 &self.snapshot.facilities,
                 &all,
             );
-            self.absorb_table(all, Arc::new(table));
+            self.install_full_table(Arc::new(table));
         }
-        self.snapshot.full_table().expect("absorbed above")
+        self.snapshot.full_table().expect("installed above")
     }
 
-    /// The memoized table for a candidate set, if one exists (`None` until
-    /// a coverage query or [`Engine::warm`] built it).
-    pub fn cached_table(&self, candidates: &[FacilityId]) -> Option<&ServedTable> {
-        self.snapshot.cached_table(candidates)
-    }
-
-    /// The memoized full-facility table (see [`Engine::warm`]).
+    /// The full-facility table (see [`Engine::warm`]); `None` until the
+    /// engine is warmed.
     pub fn full_table(&self) -> Option<&ServedTable> {
         self.snapshot.full_table()
     }
@@ -991,13 +862,12 @@ impl Engine {
     /// Applies one batch of updates and publishes the resulting snapshot:
     /// validates the batch, copy-on-write-mutates the index and user set
     /// (copying the runs, q-node headers and tail user chunk the batch
-    /// touches — not the state), brings **every memoized table** back in
-    /// sync incrementally
-    /// (untouched tables — and, inside a touched table, every column no
-    /// mask of which changes — stay `Arc`-shared with the previous epoch
-    /// at zero cost; the others are patched / re-evaluated per facility,
-    /// as counted by [`Engine::stats`]), then swaps the new
-    /// epoch into the publication slot. Readers keep answering on the old
+    /// touches — not the state), patches the full-facility table back in
+    /// sync when the engine is warmed (every column no mask of which
+    /// changes stays `Arc`-shared with the previous epoch at zero cost;
+    /// the others are patched delta-by-delta, as counted by
+    /// [`Engine::stats`]), then swaps the new epoch into the publication
+    /// slot. Readers keep answering on the old
     /// epoch until they next ask for a snapshot; the old epoch is freed by
     /// its `Arc` refcount.
     ///
@@ -1087,17 +957,17 @@ impl Engine {
         let mut clock = StageClock::start();
         // Copy-on-write of the mutable halves: readers may still hold the
         // published snapshot, so it is never mutated in place. The user
-        // set, the tree and the table memo are persistent — these three
-        // clones copy a chunk directory, a node-pointer arena and a map of
-        // `Arc`s, and the batch below then copies only what it writes (the
-        // tail user chunk, the q-node headers on its paths, the runs it
-        // rewrites, the table columns it changes).
+        // set, the tree and the table are persistent — these clones copy a
+        // chunk directory, a node-pointer arena and one `Arc`, and the
+        // batch below then copies only what it writes (the tail user chunk,
+        // the q-node headers on its paths, the runs it rewrites, the table
+        // columns it changes).
         let mut users = UserSet::clone(&self.snapshot.users);
         let Backend::TqTree(tree_ref) = &*self.snapshot.backend else {
             unreachable!("checked above");
         };
         let mut tree = tree_ref.clone();
-        let mut tables = self.snapshot.tables.clone();
+        let mut full = self.snapshot.full.clone();
         clock.lap(STAGE_COPY);
 
         // Phase 1: mutate the index, collecting the delta list
@@ -1128,51 +998,30 @@ impl Engine {
         }
         clock.lap(STAGE_TREE);
 
-        // Phases 2+3 per memoized table: classify its candidates by the
-        // EMBR∩delta-MBR rule. A table none of whose facilities intersect
-        // any delta keeps its Arc from the previous epoch (zero copies); in
-        // a touched table a column is copied only when one of its masks
-        // changes — patched in place (cheap facilities) or replaced by a
-        // rebuild through the tree (heavy ones, fanned out across
-        // threads) — and every other column stays shared.
-        let rebuild_threshold =
-            (self.rebuild_fraction * users.present().max(1) as f64).ceil() as usize;
-        let placement = tree.config().placement;
-        for shared in tables.values_mut() {
-            let relevant: Vec<Vec<&(TrajectoryId, bool, Rect)>> = shared
-                .ids
-                .iter()
-                .map(|&fid| {
-                    let embr = &self.embrs[fid as usize];
-                    deltas
-                        .iter()
-                        .filter(|(_, _, mbr)| embr.intersects(mbr))
-                        .collect()
-                })
-                .collect();
-            if relevant.iter().all(|r| r.is_empty()) {
-                let n = shared.ids.len();
-                self.stats.facilities_untouched += n as u64;
-                outcome.untouched += n;
-                continue;
-            }
-            // Copy-on-write of the table header: ids, values and one
-            // pointer per column.
-            let table = Arc::make_mut(shared);
-            let mut rebuilds: Vec<usize> = Vec::new();
-            for (ti, relevant) in relevant.iter().enumerate() {
-                if relevant.is_empty() {
+        // Phase 2: patch the full-facility table, classifying its
+        // facilities by the EMBR∩delta-MBR rule. The table header (ids,
+        // values, one pointer per column) is copied at the first touched
+        // facility, so a batch that touches none keeps the previous epoch's
+        // table; a column is copied only when one of its masks changes, and
+        // every other column stays shared.
+        if let Some(shared) = &mut full {
+            let placement = tree.config().placement;
+            for ti in 0..shared.ids.len() {
+                let fid = shared.ids[ti];
+                let embr = &self.embrs[fid as usize];
+                let mut relevant = deltas
+                    .iter()
+                    .filter(|(_, _, mbr)| embr.intersects(mbr))
+                    .peekable();
+                if relevant.peek().is_none() {
                     self.stats.facilities_untouched += 1;
                     outcome.untouched += 1;
                     continue;
                 }
-                if relevant.len() > rebuild_threshold {
-                    rebuilds.push(ti);
-                    continue;
-                }
-                let facility = self.snapshot.facilities.get(table.ids[ti]);
+                let table = Arc::make_mut(shared);
+                let facility = self.snapshot.facilities.get(fid);
                 let column = &mut table.masks[ti];
-                for &&(id, inserted, _) in relevant {
+                for &(id, inserted, _) in relevant {
                     if inserted && users.is_retired(id) {
                         // Arrived and expired within this batch: its
                         // removal delta would only undo the mask again.
@@ -1200,37 +1049,20 @@ impl Engine {
                 self.stats.facilities_patched += 1;
                 outcome.patched += 1;
             }
-            if !rebuilds.is_empty() {
-                let ids: Vec<FacilityId> = rebuilds.iter().map(|&ti| table.ids[ti]).collect();
-                let outcomes = parallel::par_evaluate_candidates(
-                    &tree,
-                    &users,
-                    &self.snapshot.model,
-                    &self.snapshot.facilities,
-                    &ids,
-                    true,
-                );
-                for (&ti, out) in rebuilds.iter().zip(outcomes) {
-                    table.masks[ti] = Arc::new(out.masks);
-                    table.values[ti] = out.value;
-                }
-                self.stats.facilities_reevaluated += rebuilds.len() as u64;
-                outcome.reevaluated += rebuilds.len();
-            }
         }
         self.stats.batches += 1;
         clock.lap(STAGE_TABLES);
         // Replacing the writer's handle releases the previous epoch: with
         // no reader still on it, that frees exactly what this batch
         // replaced — everything else lives on in the new snapshot.
-        self.publish(Snapshot::new(
-            new_epoch,
-            Arc::new(users),
-            self.snapshot.facilities.clone(),
-            self.snapshot.model,
-            Arc::new(Backend::TqTree(tree)),
-            tables,
-        ));
+        self.publish(Snapshot {
+            epoch: new_epoch,
+            users: Arc::new(users),
+            facilities: self.snapshot.facilities.clone(),
+            model: self.snapshot.model,
+            backend: Arc::new(Backend::TqTree(tree)),
+            full,
+        });
         clock.lap(STAGE_PUBLISH);
         outcome
     }
@@ -1324,8 +1156,8 @@ impl Engine {
         UserSet::from_vec(self.snapshot.users.iter().map(|(_, t)| t.clone()).collect())
     }
 
-    /// Accumulated update-work counters across every applied batch, summed
-    /// over all memoized tables.
+    /// Accumulated update-work counters across every applied batch (the
+    /// facility counters move only while the engine is warmed).
     pub fn stats(&self) -> &UpdateStats {
         &self.stats
     }
@@ -1423,7 +1255,7 @@ mod tests {
         let snap = reader.snapshot();
         assert_eq!(snap.epoch(), epoch_before);
 
-        // Cache hit from the frozen memo.
+        // Cache hit from the frozen full table.
         let hit = snap.run(Query::top_k(3)).unwrap();
         assert!(hit.explain.cache.is_hit());
         assert_eq!(hit.explain.snapshot_epoch, epoch_before);
@@ -1483,14 +1315,14 @@ mod tests {
 
     #[test]
     fn clone_is_an_independent_writer() {
-        // Unwarmed, so the subset query below builds — and publishes — a
-        // table (a warmed engine would project it and publish nothing).
+        // Unwarmed, so the full-candidate cover below builds — and
+        // publishes — the full table.
         let e = engine();
         let reader = e.reader();
         let mut fork = e.clone();
         let fork_reader = fork.reader();
         // A publication on the fork is invisible to the original's readers.
-        fork.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
+        fork.run(Query::max_cov(1)).unwrap();
         assert!(fork_reader.epoch() > reader.epoch());
         assert_eq!(reader.epoch(), e.epoch());
     }
@@ -1524,7 +1356,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_maintains_every_memoized_table() {
+    fn apply_maintains_the_full_table() {
         let (users, facilities) = small_instance();
         let mut e = Engine::builder(ServiceModel::new(Scenario::Transit, 2.0))
             .users(users)
@@ -1532,11 +1364,9 @@ mod tests {
             .bounds(Rect::new(p(0.0, 0.0), p(100.0, 100.0)))
             .build()
             .unwrap();
-        // Memoize two tables: a subset, then the full set (in that order —
-        // once the full table is there, a subset is projected from it and
-        // never admitted).
-        e.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
+        // A full-candidate cover installs the full table.
         e.run(Query::max_cov(1)).unwrap();
+        assert!(e.full_table().is_some());
 
         // A commuter arrives near facility 0.
         e.apply(&[Update::Insert(Trajectory::two_point(
@@ -1545,26 +1375,48 @@ mod tests {
         ))])
         .unwrap();
 
-        // Both memoized tables now answer like a fresh engine.
-        let got = e.run(Query::top_k(3)).unwrap();
-        assert!(got.explain.cache.is_hit());
+        // The maintained table, and a subset's table taken from it after
+        // the batch, answer like a fresh (unwarmed) engine's search and
+        // build.
         let mut fresh = Engine::builder(ServiceModel::new(Scenario::Transit, 2.0))
             .users(e.live_set())
             .facilities(facilities)
             .build()
             .unwrap();
-        let want = fresh.run(Query::top_k(3)).unwrap();
-        for (g, w) in got.ranked().iter().zip(want.ranked()) {
-            assert_eq!(g.0, w.0);
-            assert_eq!(g.1.to_bits(), w.1.to_bits());
+        let bits = |a: &Answer| -> Vec<u64> {
+            match &a.result {
+                QueryResult::TopK(r) => {
+                    r.iter().flat_map(|(id, v)| [u64::from(*id), v.to_bits()]).collect()
+                }
+                QueryResult::MaxCov(c) => c
+                    .chosen
+                    .iter()
+                    .map(|id| u64::from(*id))
+                    .chain([c.value.to_bits(), c.users_served as u64])
+                    .collect(),
+            }
+        };
+        for q in [
+            Query::top_k(3),
+            Query::top_k(2).candidates(&[0, 1]),
+            Query::max_cov(1).candidates(&[0, 1]),
+        ] {
+            let got = e.run(q.clone()).unwrap();
+            assert_eq!(got.explain.cache.is_hit(), q.candidates.is_none(), "{q:?}");
+            let want = fresh.run(q.clone()).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{q:?}");
         }
         let sub = e.run(Query::top_k(2).candidates(&[0, 1])).unwrap();
-        assert!(sub.explain.cache.is_hit());
         assert_eq!(sub.ranked()[0].1, 3.0);
+        let maintained = e.full_table().unwrap();
+        let built = fresh.warm();
+        assert_eq!(maintained.masks, built.masks);
+        let value_bits = |t: &ServedTable| t.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(value_bits(maintained), value_bits(built));
     }
 
     #[test]
-    fn untouched_tables_stay_arc_shared_across_epochs() {
+    fn untouched_columns_stay_arc_shared_across_epochs() {
         let (users, facilities) = small_instance();
         let mut e = Engine::builder(ServiceModel::new(Scenario::Transit, 2.0))
             .users(users)
@@ -1572,24 +1424,29 @@ mod tests {
             .bounds(Rect::new(p(0.0, 0.0), p(100.0, 100.0)))
             .build()
             .unwrap();
-        // Subset table for facility 1 only (far corner), full table too —
-        // the subset first, while the engine is unwarmed and still admits it.
-        e.run(Query::max_cov(1).candidates(&[1])).unwrap();
         e.warm();
         let before = e.snapshot();
-        let key = vec![1u32];
-        // A batch near facility 0: facility 1's subset table is untouched
-        // and must be the *same allocation* in the new epoch; the full
-        // table (contains facility 0) must be a fresh copy.
+        // A batch near facility 0: facilities 1 and 2 (far corners) are
+        // untouched, and their columns must be the *same allocation* in
+        // the new epoch; facility 0's column must be a fresh copy.
         e.apply(&[Update::Insert(Trajectory::two_point(
             p(0.2, 0.0),
             p(9.8, 0.0),
         ))])
         .unwrap();
         let after = e.snapshot();
-        assert!(Arc::ptr_eq(&before.tables[&key], &after.tables[&key]));
-        let full: Vec<FacilityId> = (0..3).collect();
-        assert!(!Arc::ptr_eq(&before.tables[&full], &after.tables[&full]));
+        let (old, new) = (before.full_table().unwrap(), after.full_table().unwrap());
+        assert!(!Arc::ptr_eq(&old.masks[0], &new.masks[0]));
+        assert!(Arc::ptr_eq(&old.masks[1], &new.masks[1]));
+        assert!(Arc::ptr_eq(&old.masks[2], &new.masks[2]));
+        // A batch that touches no facility keeps the whole table.
+        e.apply(&[Update::Insert(Trajectory::two_point(
+            p(30.0, 30.0),
+            p(35.0, 30.0),
+        ))])
+        .unwrap();
+        let later = e.snapshot();
+        assert!(Arc::ptr_eq(after.full.as_ref().unwrap(), later.full.as_ref().unwrap()));
     }
 
     #[test]
@@ -1637,75 +1494,9 @@ mod tests {
         (users, facilities)
     }
 
-    #[test]
-    fn subset_table_memo_is_bounded_and_full_table_pinned() {
-        let (users, facilities) = grid_instance(DEFAULT_SUBSET_TABLES + 4);
-        let mut e = Engine::builder(ServiceModel::new(Scenario::Transit, 1.0))
-            .users(users)
-            .facilities(facilities)
-            .build()
-            .unwrap();
-        // Many distinct subset queries on the unwarmed engine: the memo
-        // must stay bounded.
-        for i in 0..(DEFAULT_SUBSET_TABLES as u32 + 3) {
-            e.run(Query::max_cov(1).candidates(&[i, i + 1])).unwrap();
-            assert!(
-                e.snapshot.tables.len() <= DEFAULT_SUBSET_TABLES + 1,
-                "memo grew past the cap at query {i}: {}",
-                e.snapshot.tables.len()
-            );
-        }
-        assert_eq!(e.memo.subset_count(), DEFAULT_SUBSET_TABLES);
-        // The full table is pinned: it joins a memo at capacity without
-        // evicting, and no later subset query — each a projection now —
-        // can push it, or any memoized subset, out.
-        e.warm();
-        let epoch = e.epoch();
-        for i in 0..(DEFAULT_SUBSET_TABLES as u32 + 2) {
-            e.run(Query::max_cov(1).candidates(&[i, i + 2])).unwrap();
-            assert_eq!(e.snapshot.tables.len(), DEFAULT_SUBSET_TABLES + 1);
-            assert!(e.full_table().is_some(), "full table evicted at query {i}");
-        }
-        assert_eq!(e.epoch(), epoch, "a projection publishes nothing");
-        assert_eq!(e.memo.subset_count(), DEFAULT_SUBSET_TABLES);
-        // The oldest subset was evicted, the newest re-queries as a hit.
-        let newest = [
-            DEFAULT_SUBSET_TABLES as u32 + 2,
-            DEFAULT_SUBSET_TABLES as u32 + 3,
-        ];
-        let hit = e.run(Query::max_cov(1).candidates(&newest)).unwrap();
-        assert!(hit.explain.cache.is_hit());
-        let oldest = e.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
-        assert_eq!(oldest.explain.cache, CacheStatus::Miss, "oldest was evicted");
-    }
-
-    #[test]
-    fn subset_table_capacity_is_configurable() {
-        let (users, facilities) = grid_instance(6);
-        let mut e = Engine::builder(ServiceModel::new(Scenario::Transit, 1.0))
-            .users(users)
-            .facilities(facilities)
-            .subset_tables(1)
-            .build()
-            .unwrap();
-        e.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
-        let hit = e.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
-        assert!(hit.explain.cache.is_hit());
-        // A second subset evicts the first at capacity 1.
-        e.run(Query::max_cov(1).candidates(&[2, 3])).unwrap();
-        assert_eq!(e.snapshot.tables.len(), 1, "one subset");
-        let miss = e.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
-        assert_eq!(miss.explain.cache, CacheStatus::Miss);
-        // The pinned full table does not count against the capacity.
-        e.warm();
-        assert_eq!(e.snapshot.tables.len(), 2, "full + one subset");
-        assert!(e.full_table().is_some());
-    }
-
-    /// The mirror of the subset-memo tests above: once the snapshot carries
-    /// the full table, a subset query is a projection of it — the same
-    /// answer as the unwarmed engine's search and build, no index work, no
-    /// publication, nothing admitted.
+    /// Once the snapshot carries the full table, a subset query is a
+    /// projection of it — the same answer as the unwarmed engine's search
+    /// and build, no index work, no publication.
     #[test]
     fn a_warmed_engine_projects_subset_queries_and_memoizes_none() {
         let (users, facilities) = grid_instance(6);
@@ -1753,34 +1544,114 @@ mod tests {
             }
         }
         assert_eq!(warmed.epoch(), epoch, "a projection publishes nothing");
-        assert_eq!(warmed.memo.subset_count(), 0);
-        assert_eq!(warmed.snapshot.tables.len(), 1, "the full table and nothing else");
     }
 
+    /// A snapshot holds at most the full table. Before the warm, no number
+    /// of distinct subset covers installs a table; after it, none of them
+    /// displaces the full one — the same allocation serves throughout.
     #[test]
-    fn zero_capacity_disables_subset_caching() {
-        let (users, facilities) = grid_instance(6);
+    fn subset_queries_never_install_or_displace_a_table() {
+        let (users, facilities) = grid_instance(12);
         let mut e = Engine::builder(ServiceModel::new(Scenario::Transit, 1.0))
             .users(users)
             .facilities(facilities)
-            .subset_tables(0)
             .build()
             .unwrap();
-        let epoch0 = e.epoch();
-        let first = e.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
-        assert_eq!(first.explain.cache, CacheStatus::Miss);
-        assert_eq!(e.epoch(), epoch0, "no publication for an uncached table");
-        let second = e.run(Query::max_cov(1).candidates(&[0, 1])).unwrap();
-        assert_eq!(second.explain.cache, CacheStatus::Miss, "never cached");
-        assert_eq!(
-            second.cover().value.to_bits(),
-            first.cover().value.to_bits()
-        );
-        // The pinned full table is unaffected by the knob.
-        e.run(Query::max_cov(1)).unwrap();
-        assert!(e.full_table().is_some());
-        let hit = e.run(Query::max_cov(1)).unwrap();
+        let epoch = e.epoch();
+        for i in 0..11u32 {
+            let got = e.run(Query::max_cov(1).candidates(&[i, i + 1])).unwrap();
+            assert_eq!(got.explain.cache, CacheStatus::Miss, "query {i}");
+            assert!(e.snapshot.full.is_none(), "query {i} installed a table");
+        }
+        assert_eq!(e.epoch(), epoch, "an unwarmed subset query publishes nothing");
+
+        e.warm();
+        let (epoch, pinned) = (e.epoch(), e.snapshot.full.clone().unwrap());
+        for i in 0..10u32 {
+            e.run(Query::max_cov(1).candidates(&[i, i + 2])).unwrap();
+            let full = e.snapshot.full.as_ref().expect("the full table stays");
+            assert!(Arc::ptr_eq(full, &pinned), "query {i} replaced the full table");
+        }
+        assert_eq!(e.epoch(), epoch, "a projection publishes nothing");
+        assert!(e.run(Query::max_cov(1)).unwrap().explain.cache.is_hit());
+    }
+
+    /// The two installers of the full table — a full-candidate query that
+    /// had to build it, and `warm` — publish once and agree bit for bit;
+    /// after either, the other is a no-op. A reader's snapshot builds the
+    /// same table and discards it.
+    #[test]
+    fn a_full_cover_miss_installs_what_warm_installs() {
+        let mut by_query = engine();
+        let snap = by_query.snapshot();
+        for _ in 0..2 {
+            let got = snap.run(Query::max_cov(2)).unwrap();
+            assert_eq!(got.explain.cache, CacheStatus::Miss);
+        }
+        assert!(snap.full_table().is_none() && by_query.full_table().is_none());
+
+        let epoch = by_query.epoch();
+        let miss = by_query.run(Query::max_cov(2)).unwrap();
+        assert_eq!(miss.explain.cache, CacheStatus::Miss);
+        assert_eq!(by_query.epoch(), epoch + 1, "the miss published the table");
+        let installed = by_query.snapshot.full.clone().unwrap();
+        by_query.warm();
+        assert_eq!(by_query.epoch(), epoch + 1, "warm after the install republished");
+        assert!(Arc::ptr_eq(by_query.snapshot.full.as_ref().unwrap(), &installed));
+
+        let mut by_warm = engine();
+        by_warm.warm();
+        assert_eq!(by_warm.epoch(), epoch + 1);
+        let hit = by_warm.run(Query::max_cov(2)).unwrap();
         assert!(hit.explain.cache.is_hit());
+        assert_eq!(by_warm.epoch(), epoch + 1, "a hit publishes nothing");
+        assert_eq!(hit.cover().chosen, miss.cover().chosen);
+        assert_eq!(hit.cover().value.to_bits(), miss.cover().value.to_bits());
+        let (a, b) = (by_query.full_table().unwrap(), by_warm.full_table().unwrap());
+        assert_eq!(a.ids, b.ids);
+        assert_eq!(a.masks, b.masks);
+        let value_bits = |t: &ServedTable| t.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(value_bits(a), value_bits(b));
+    }
+
+    /// Without a full table there is nothing to patch: an unwarmed
+    /// engine's batch publishes no table and classifies no facility, and
+    /// warming afterwards builds exactly a fresh engine's table.
+    #[test]
+    fn an_unwarmed_apply_keeps_no_table() {
+        let (users, facilities) = small_instance();
+        let build = |users: UserSet| {
+            Engine::builder(ServiceModel::new(Scenario::Transit, 2.0))
+                .users(users)
+                .facilities(facilities.clone())
+                .bounds(Rect::new(p(0.0, 0.0), p(100.0, 100.0)))
+                .build()
+                .unwrap()
+        };
+        let mut e = build(users);
+        let epoch = e.epoch();
+        let outcome = e
+            .apply(&[
+                Update::Insert(Trajectory::two_point(p(0.2, 0.0), p(9.8, 0.0))),
+                Update::Insert(Trajectory::two_point(p(50.5, 50.0), p(59.5, 50.0))),
+            ])
+            .unwrap();
+        assert_eq!(outcome.inserted, vec![3, 4]);
+        assert_eq!((outcome.untouched, outcome.patched), (0, 0));
+        assert_eq!(e.epoch(), epoch + 1);
+        assert!(e.full_table().is_none(), "an apply installed a table");
+        let stats = e.stats();
+        assert_eq!((stats.batches, stats.inserts), (1, 2));
+        assert_eq!(stats.rebuild_evaluations(), 0, "a facility was classified");
+
+        let mut fresh = build(e.live_set());
+        e.warm();
+        fresh.warm();
+        let (got, want) = (e.full_table().unwrap(), fresh.full_table().unwrap());
+        assert_eq!(got.masks, want.masks);
+        let value_bits = |t: &ServedTable| t.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(value_bits(got), value_bits(want));
+        assert_eq!(value_bits(got), [3.0f64, 2.0, 0.0].map(f64::to_bits));
     }
 
     /// A seeded city for the persistence tests: `n` random two-point trips

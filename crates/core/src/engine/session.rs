@@ -5,31 +5,28 @@
 //! [`execute`] is the one code path behind both
 //! [`Snapshot::run`](super::Snapshot::run) (the lock-free read plane) and
 //! [`Engine::run`](super::Engine::run) (the control plane, which
-//! additionally absorbs any table the query built into the next published
-//! snapshot). Execution itself never mutates anything.
+//! additionally installs a full-facility table the query built into the
+//! next published snapshot). Execution itself never mutates anything.
 //!
 //! A query over a candidate set gets its [`ServedTable`] from the first of
 //! three places that has it:
 //!
-//! 1. **the memo** — the snapshot carries a table under exactly this key
-//!    ([`CacheStatus::Hit`]);
-//! 2. **a projection** — the snapshot carries the full-facility table
+//! 1. **the full table** — the snapshot carries the full-facility table
 //!    ([`Engine::warm`](super::Engine::warm), kept bit-identical to a fresh
-//!    build by every [`Engine::apply`](super::Engine::apply)), and a
-//!    facility's column does not depend on which other candidates are
-//!    asked about, so the subset's table is
+//!    build by every [`Engine::apply`](super::Engine::apply)) and the query
+//!    names every facility ([`CacheStatus::Hit`]);
+//! 2. **a projection of it** — a facility's column does not depend on
+//!    which other candidates are asked about, so a subset's table is
 //!    [`ServedTable::project`]: one `Arc` bump per candidate, no
-//!    evaluation, nothing for the memo ([`CacheStatus::Miss`] with zero
-//!    work counters);
+//!    evaluation ([`CacheStatus::Miss`] with zero work counters);
 //! 3. **the index** — the paper's best-first search (top-k, Alg. 4) or a
-//!    per-candidate evaluation through the backend (max-cov, Alg. 3),
-//!    reported through [`TableOutcome`] so the caller decides whether the
-//!    built table is absorbed or discarded. This is the cold path, the
-//!    only one an unwarmed engine has, and the reference the other two are
-//!    tested against.
+//!    per-candidate evaluation through the backend (max-cov, Alg. 3). A
+//!    built full-facility table is handed back so the control plane can
+//!    install it; any other built table is discarded. This is the cold
+//!    path, the only one an unwarmed engine has, and the reference the
+//!    other two are tested against.
 //!
-//! Which of 2 and 3 runs is decided by what the snapshot holds, not by an
-//! option.
+//! Which one runs is decided by what the snapshot holds, not by an option.
 
 use super::{EngineError, Snapshot};
 use crate::maxcov::{exact, genetic, greedy, CovOutcome, GeneticConfig, ServedTable};
@@ -175,7 +172,8 @@ impl Query {
 // Answer + Explain
 // ---------------------------------------------------------------------------
 
-/// Whether a query could be answered from a memoized [`ServedTable`].
+/// Whether a query could be answered from the snapshot's full-facility
+/// [`ServedTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheStatus {
     /// The query neither needed nor found a served table: a top-k answered
@@ -185,16 +183,18 @@ pub enum CacheStatus {
     /// [`CacheStatus::Hit`] or a projected [`CacheStatus::Miss`].
     #[default]
     Unused,
-    /// No table is memoized under the query's candidate set. Either one
-    /// was built for this query through the index (and memoized, when the
-    /// engine's control plane ran it — snapshot readers never memoize), or
-    /// — on a snapshot carrying the full-facility table — it was projected
+    /// The query needed a table for a candidate set the snapshot does not
+    /// hold as such. Either it was built for this query through the index —
+    /// on a snapshot without the full-facility table, every time: a subset
+    /// table is discarded after its query, and a full-facility one is
+    /// installed only when the engine's control plane ran the query — or,
+    /// on a snapshot carrying the full-facility table, it was projected
     /// from that table: no evaluation, all-zero [`Explain::eval`] and
-    /// [`Explain::relaxations`], and nothing memoized on either plane. The
-    /// `tq_query_projected_total` counter tells the two apart.
+    /// [`Explain::relaxations`]. The `tq_query_projected_total` counter
+    /// tells the two apart.
     Miss,
-    /// The query reused the table memoized under exactly its candidate set
-    /// — no facility evaluation at all.
+    /// The query named every facility and the snapshot carries the
+    /// full-facility table — no facility evaluation at all.
     Hit,
 }
 
@@ -236,8 +236,8 @@ pub struct Explain {
     /// Best-first state relaxations (top-k on the TQ-tree backend only;
     /// zero whenever a table answered instead of the search).
     pub relaxations: usize,
-    /// [`ServedTable`] memo outcome. A projected table reports
-    /// [`CacheStatus::Miss`].
+    /// Where the query's [`ServedTable`] came from. A projected table
+    /// reports [`CacheStatus::Miss`].
     pub cache: CacheStatus,
     /// Worker threads active for the query.
     pub threads: usize,
@@ -409,47 +409,25 @@ pub(crate) fn note_slow_query(explain: &Explain) {
 // Execution (shared by Snapshot::run and Engine::run)
 // ---------------------------------------------------------------------------
 
-/// What a query did with the [`ServedTable`] memo: which key it used, and
-/// the table it built through the index on a miss (`None` on a hit). The
-/// control plane absorbs built tables into the next snapshot and refreshes
-/// LRU recency on hits; the read plane discards this. A query whose table
-/// was projected from the full one has no outcome at all — there is
-/// nothing to absorb and no entry to refresh.
-pub(crate) struct TableOutcome {
-    pub(crate) key: Vec<FacilityId>,
-    pub(crate) built: Option<Arc<ServedTable>>,
-    /// The per-partition tables `built` was merged from (see
-    /// [`Index::served_table_parts`](super::Index::served_table_parts));
-    /// empty on a hit and for unpartitioned backends.
-    pub(crate) parts: Vec<Arc<ServedTable>>,
-}
-
-impl TableOutcome {
-    fn hit(key: Vec<FacilityId>) -> TableOutcome {
-        TableOutcome {
-            key,
-            built: None,
-            parts: Vec::new(),
-        }
-    }
-}
-
 /// What one execution leaves behind besides its answer.
 #[derive(Default)]
 struct Effects {
-    /// The memo traffic the control plane acts on.
-    table: Option<TableOutcome>,
+    /// The full-facility table this query built through the index — what
+    /// the control plane installs.
+    built: Option<Arc<ServedTable>>,
     /// A table of this query was projected from the snapshot's full one.
     projected: bool,
 }
 
 /// Executes a query against one immutable snapshot. Pure with respect to
 /// the snapshot: all scratch state is local, so any number of threads may
-/// call this concurrently on the same snapshot.
+/// call this concurrently on the same snapshot. Besides the answer, hands
+/// back the full-facility table the query built, if it built one; the
+/// read plane discards it.
 pub(crate) fn execute(
     snap: &Snapshot,
     query: &Query,
-) -> Result<(Answer, Option<TableOutcome>), EngineError> {
+) -> Result<(Answer, Option<Arc<ServedTable>>), EngineError> {
     let start = Instant::now();
     let cand = resolve_candidates(snap, query)?;
     if query.k == 0 {
@@ -480,7 +458,7 @@ pub(crate) fn execute(
     };
     explain.wall = start.elapsed();
     note_query(&explain, effects.projected);
-    Ok((Answer { result, explain }, effects.table))
+    Ok((Answer { result, explain }, effects.built))
 }
 
 /// Sorted, deduplicated, validated candidate ids for a query.
@@ -515,39 +493,35 @@ fn dispatch(
     effects: &mut Effects,
 ) -> Result<QueryResult, EngineError> {
     match query.kind {
-        QueryKind::TopK => {
-            let ranked = run_top_k(snap, cand, query.k, explain, effects);
-            // A hit came from a memoized table: report the key so the
-            // control plane refreshes its LRU recency, exactly as max-cov
-            // hits do — a hot subset stays resident no matter which query
-            // family keeps it hot.
-            if explain.cache.is_hit() {
-                effects.table = Some(TableOutcome::hit(cand.to_vec()));
-            }
-            Ok(QueryResult::TopK(ranked))
-        }
+        QueryKind::TopK => Ok(QueryResult::TopK(run_top_k(
+            snap, cand, query.k, explain, effects,
+        ))),
         QueryKind::MaxCov => run_max_cov(snap, query, cand, explain, effects),
     }
 }
 
-/// The table for `key` as a projection of the snapshot's full-facility
-/// table, when the snapshot carries one.
-fn project(
+/// The table for a (sorted) candidate set out of the snapshot's
+/// full-facility table, when it carries one: that table itself for the
+/// full set, a projection of it for any other.
+fn from_full(
     snap: &Snapshot,
     key: &[FacilityId],
     explain: &mut Explain,
     effects: &mut Effects,
-) -> Option<ServedTable> {
+) -> Option<Arc<ServedTable>> {
     let full = snap.full.as_ref()?;
+    if key.len() == full.len() {
+        explain.cache = CacheStatus::Hit;
+        return Some(full.clone());
+    }
     explain.cache = CacheStatus::Miss;
     effects.projected = true;
-    Some(full.project(key))
+    Some(Arc::new(full.project(key)))
 }
 
-/// Top-k over a candidate set: ranked from the memoized table when one
-/// exists, from a projection of the full table when the snapshot carries
-/// that (zero evaluation work either way), otherwise through the backend's
-/// search.
+/// Top-k over a candidate set: ranked from the full table or a projection
+/// of it when the snapshot carries that (zero evaluation work either way),
+/// otherwise through the backend's search.
 fn run_top_k(
     snap: &Snapshot,
     cand: &[FacilityId],
@@ -555,11 +529,7 @@ fn run_top_k(
     explain: &mut Explain,
     effects: &mut Effects,
 ) -> Vec<(FacilityId, f64)> {
-    if let Some(table) = snap.tables.get(cand) {
-        explain.cache = CacheStatus::Hit;
-        return rank_table(table, k);
-    }
-    if let Some(table) = project(snap, cand, explain, effects) {
+    if let Some(table) = from_full(snap, cand, explain, effects) {
         return rank_table(&table, k);
     }
     let out = if cand.len() == snap.facilities.len() {
@@ -613,7 +583,7 @@ fn run_max_cov(
         }
         _ => cand.to_vec(),
     };
-    let table = resolve_table(snap, pool, explain, effects);
+    let table = resolve_table(snap, &pool, explain, effects);
     let out = match query.algorithm {
         Algorithm::Greedy | Algorithm::TwoStep => greedy(&table, &snap.users, &snap.model, k),
         Algorithm::Genetic => {
@@ -629,39 +599,29 @@ fn run_max_cov(
     Ok(QueryResult::MaxCov(out))
 }
 
-/// The [`ServedTable`] for a (sorted) candidate set: the snapshot's frozen
-/// memo on a hit, else a projection of its full table, else a locally built
-/// table. The build mutates nothing — the caller decides through the
-/// [`TableOutcome`] left in `effects` whether the new table is absorbed
-/// into a future snapshot.
+/// The [`ServedTable`] for a (sorted) candidate set: out of the snapshot's
+/// full table when it carries one, else built locally through the index.
+/// The build mutates nothing; a built full-facility table is left in
+/// `effects` for the caller to install or discard.
 fn resolve_table(
     snap: &Snapshot,
-    key: Vec<FacilityId>,
+    key: &[FacilityId],
     explain: &mut Explain,
     effects: &mut Effects,
 ) -> Arc<ServedTable> {
-    if let Some(table) = snap.tables.get(&key) {
-        explain.cache = CacheStatus::Hit;
-        effects.table = Some(TableOutcome::hit(key));
-        return table.clone();
-    }
-    if let Some(table) = project(snap, &key, explain, effects) {
-        return Arc::new(table);
+    if let Some(table) = from_full(snap, key, explain, effects) {
+        return table;
     }
     explain.cache = CacheStatus::Miss;
-    let (table, parts) = snap.backend.as_index().served_table_parts(
-        &snap.users,
-        &snap.model,
-        &snap.facilities,
-        &key,
-    );
+    let table =
+        snap.backend
+            .as_index()
+            .served_table(&snap.users, &snap.model, &snap.facilities, key);
     explain.eval.add(&table.stats);
     let table = Arc::new(table);
-    effects.table = Some(TableOutcome {
-        key,
-        built: Some(table.clone()),
-        parts,
-    });
+    if key.len() == snap.facilities.len() {
+        effects.built = Some(table.clone());
+    }
     table
 }
 

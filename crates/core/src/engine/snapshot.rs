@@ -3,12 +3,12 @@
 //!
 //! A snapshot owns (via `Arc`) everything a query needs — the user
 //! trajectories, the candidate facilities, the service model, the backend
-//! index, and the frozen [`ServedTable`] memo — and never changes after
-//! publication. When the memo holds the full-facility table (the engine was
-//! warmed), the snapshot also *is* every subset's table: a
-//! restricted-candidate query projects its columns out of the full table
-//! instead of evaluating anything, so on a warmed engine the index is
-//! written by updates and read only by the full table's maintenance. [`Snapshot::run`] therefore takes `&self` and acquires
+//! index, and, once the engine was warmed, the frozen full-facility
+//! [`ServedTable`] — and never changes after publication. That one table
+//! is also every subset's table: a restricted-candidate query projects its
+//! columns out of it instead of evaluating anything, so on a warmed engine
+//! the index is written by updates and read only by the table's
+//! maintenance. [`Snapshot::run`] therefore takes `&self` and acquires
 //! **zero locks**: any number of threads can answer queries over the same
 //! snapshot concurrently, each bit-identical to a serial execution over
 //! that snapshot's data. Writers never touch a published snapshot; the
@@ -21,13 +21,12 @@
 
 use super::session::{self, Answer, Query};
 use super::{Backend, BackendKind, EngineError};
-use crate::fasthash::FxHashMap;
 use crate::maxcov::ServedTable;
 use crate::service::ServiceModel;
 use crate::tqtree::TqTree;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
-use tq_trajectory::{FacilityId, FacilitySet, UserSet};
+use tq_trajectory::{FacilitySet, UserSet};
 
 /// One immutable, epoch-numbered version of the engine's entire queryable
 /// state. Obtained from [`Engine::snapshot`](super::Engine::snapshot) or a
@@ -35,10 +34,10 @@ use tq_trajectory::{FacilityId, FacilitySet, UserSet};
 /// of sharing).
 ///
 /// Queries through [`Snapshot::run`] are lock-free and read-only: a query
-/// that misses the frozen memo projects its table from the full-facility
-/// table when the snapshot carries one, and otherwise builds it locally
-/// through the index and discards it afterwards (only the control plane
-/// memoizes, and only built tables — see
+/// takes its table from the full-facility table when the snapshot carries
+/// one (the table itself, or a projection of it), and otherwise builds it
+/// locally through the index and discards it afterwards (only the control
+/// plane installs a table, and only the full one — see
 /// [`Engine::run`](super::Engine::run)).
 #[derive(Debug)]
 pub struct Snapshot {
@@ -52,43 +51,15 @@ pub struct Snapshot {
     pub(crate) model: ServiceModel,
     /// The backend index over exactly `users`.
     pub(crate) backend: Arc<Backend>,
-    /// The frozen [`ServedTable`] memo, keyed by sorted candidate id list.
-    /// Tables, and the columns inside them, are `Arc`-shared across
-    /// epochs: an update batch copies only the columns it changes.
-    pub(crate) tables: FxHashMap<Vec<FacilityId>, Arc<ServedTable>>,
-    /// The full-facility table among `tables`, found once at publication:
-    /// what a restricted-candidate query projects its table from, and what
-    /// [`Snapshot::full_table`] hands out without rebuilding the key.
+    /// The frozen full-facility [`ServedTable`] of a warmed engine: what a
+    /// full-candidate query hits and a restricted-candidate one projects
+    /// its table from. The table, and the columns inside it, are
+    /// `Arc`-shared across epochs: an update batch copies only the columns
+    /// it changes.
     pub(crate) full: Option<Arc<ServedTable>>,
 }
 
 impl Snapshot {
-    /// Assembles a snapshot, picking the full-facility table out of
-    /// `tables`. Memo keys are sorted, deduplicated, registered ids, so the
-    /// one table with a row per facility is the full one.
-    pub(crate) fn new(
-        epoch: u64,
-        users: Arc<UserSet>,
-        facilities: Arc<FacilitySet>,
-        model: ServiceModel,
-        backend: Arc<Backend>,
-        tables: FxHashMap<Vec<FacilityId>, Arc<ServedTable>>,
-    ) -> Snapshot {
-        let full = tables
-            .values()
-            .find(|table| table.len() == facilities.len())
-            .cloned();
-        Snapshot {
-            epoch,
-            users,
-            facilities,
-            model,
-            backend,
-            tables,
-            full,
-        }
-    }
-
     /// Answers a typed [`Query`] against this snapshot's frozen state.
     ///
     /// `&self`, no locks, no interior mutability: safe to call from any
@@ -141,12 +112,6 @@ impl Snapshot {
     /// epoch.
     pub fn live_users(&self) -> usize {
         self.users.present()
-    }
-
-    /// The frozen memoized table for a candidate set, if this snapshot
-    /// carries one.
-    pub fn cached_table(&self, candidates: &[FacilityId]) -> Option<&ServedTable> {
-        self.tables.get(candidates).map(|t| &**t)
     }
 
     /// The frozen full-facility table (see

@@ -28,8 +28,8 @@
 //! All of the above is served through one typed entry point — the
 //! **[`engine`]** module's [`engine::Engine`] / [`engine::Query`] API,
 //! which unifies the TQ-tree and the [`baseline`] BL index behind the
-//! [`engine::Index`] trait, memoizes [`maxcov::ServedTable`]s across
-//! queries, folds the dynamic-update machinery into
+//! [`engine::Index`] trait, keeps the full-facility [`maxcov::ServedTable`]
+//! across queries (every subset's table is a projection of it), folds the dynamic-update machinery into
 //! [`engine::Engine::apply`], and reports an [`engine::Explain`] with every
 //! answer. The free functions ([`top_k_facilities`],
 //! [`maxcov::two_step_greedy`], …) remain as the low-level solver layer the

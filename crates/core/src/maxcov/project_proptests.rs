@@ -108,13 +108,11 @@ fn builder(
     model: ServiceModel,
     users: &UserSet,
     routes: &FacilitySet,
-    rebuild_fraction: f64,
 ) -> EngineBuilder {
     let b = Engine::builder(model)
         .users(users.clone())
         .facilities(routes.clone())
-        .bounds(Rect::new(Point::new(0.0, 0.0), Point::new(EXTENT, EXTENT)))
-        .rebuild_fraction(rebuild_fraction);
+        .bounds(Rect::new(Point::new(0.0, 0.0), Point::new(EXTENT, EXTENT)));
     match family {
         Family::Basic => b.tree_config(TqTreeConfig::basic(placement).with_beta(8)),
         Family::ZOrder => b.tree_config(TqTreeConfig::z_order(placement).with_beta(8)),
@@ -350,9 +348,7 @@ fn check_combination(
             .collect(),
     );
     let routes = random_routes(rng);
-    // Patch everything, the default mix, rebuild everything.
-    let fraction = [1.0, 0.25, 0.0][rng.gen_range(0..3)];
-    let build = || builder(family, placement, model, &users, &routes, fraction);
+    let build = || builder(family, placement, model, &users, &routes);
 
     let mut cold = build().build().unwrap();
     let mut plain = build().build().unwrap();

@@ -20,10 +20,9 @@
 //! The snapshot also carries the **warmed full-facility `ServedTable`**
 //! when the engine has one — re-evaluating it is the dominant cost of a
 //! *serving* cold start, so `tq serve --persist` checkpoints it and the
-//! next `Engine::open` answers its first query from cache. Subset tables
-//! are ephemeral LRU cache and are not persisted; every answer is
-//! bit-identical either way (tables are a deterministic function of the
-//! rest of the state).
+//! next `Engine::open` answers its first query from it. It is the only
+//! table an engine keeps; every answer is bit-identical either way (the
+//! table is a deterministic function of the rest of the state).
 //!
 //! # Recovery
 //!
@@ -43,10 +42,11 @@
 //! # Epochs
 //!
 //! WAL stamps are publication epochs, so they are increasing but not
-//! dense — epochs spent on memo absorptions ([`Engine::run`] misses,
-//! [`Engine::warm`]) leave gaps, and being pure cache activity they are
-//! not logged. A recovered engine therefore resumes at the epoch of the
-//! last durable batch (or the checkpoint epoch when the WAL is empty).
+//! dense — epochs spent installing the full-facility table
+//! ([`Engine::warm`], or an [`Engine::run`] that built it) leave gaps, and
+//! being pure cache activity they are not logged. A recovered engine
+//! therefore resumes at the epoch of the last durable batch (or the
+//! checkpoint epoch when the WAL is empty).
 //!
 //! # Example
 //!
@@ -233,7 +233,7 @@ pub fn decode_update_batch(payload: &[u8]) -> Result<Vec<Update>, StoreError> {
 }
 
 // ---------------------------------------------------------------------------
-// ServedTable codec (the warmed full-facility memo)
+// ServedTable codec (the warmed full-facility table)
 // ---------------------------------------------------------------------------
 
 /// Mask words are width-fitted: almost every trajectory has few points
@@ -434,27 +434,28 @@ fn get_table(
 // Engine-state codec (the snapshot body)
 // ---------------------------------------------------------------------------
 
+/// Two body fields that once held engine knobs — the patch-vs-rebuild
+/// fraction and the subset-table memo capacity — neither of which exists
+/// any more. The body keeps their bytes so the format needs no new
+/// version: they are written with the knobs' last defaults and ignored on
+/// read.
+const RETIRED_REBUILD_FRACTION: f64 = 0.25;
+const RETIRED_SUBSET_TABLES: u64 = 8;
+
 /// Encodes the engine's full durable state and the snapshot header
 /// metadata describing it.
 pub(crate) fn encode_engine(engine: &Engine) -> Result<(SnapshotMeta, BytesMut), EngineError> {
-    encode_snapshot(
-        &engine.snapshot(),
-        engine.rebuild_fraction(),
-        engine.subset_table_capacity(),
-    )
+    encode_snapshot(&engine.snapshot())
 }
 
-/// [`encode_engine`] over a published immutable [`Snapshot`] (plus the
-/// scalars a snapshot does not carry), so a background checkpoint can
-/// encode without borrowing the engine.
+/// [`encode_engine`] over a published immutable [`Snapshot`], so a
+/// background checkpoint can encode without borrowing the engine.
 ///
 /// A [`Backend::Sharded`] front has no single-store image — its durable
 /// form is one store per shard plus the routing log — so it is refused
 /// with [`EngineError::Sharded`].
 pub(crate) fn encode_snapshot(
     snapshot: &Snapshot,
-    rebuild_fraction: f64,
-    subset_capacity: usize,
 ) -> Result<(SnapshotMeta, BytesMut), EngineError> {
     let (users, facilities, model) = (snapshot.users(), snapshot.facilities(), *snapshot.model());
     let (backend, full_table, epoch) = (snapshot.backend(), snapshot.full_table(), snapshot.epoch());
@@ -466,8 +467,8 @@ pub(crate) fn encode_snapshot(
     let mut buf = BytesMut::with_capacity(64 + users.total_points() * 16);
     buf.put_u8(scenario_tag(model.scenario));
     buf.put_f64_le(model.psi);
-    buf.put_f64_le(rebuild_fraction);
-    buf.put_u64_le(subset_capacity as u64);
+    buf.put_f64_le(RETIRED_REBUILD_FRACTION);
+    buf.put_u64_le(RETIRED_SUBSET_TABLES);
     buf.put_u64_le(epoch);
     users.encode(&mut buf);
     encode_bitmap(&live, &mut buf);
@@ -493,8 +494,7 @@ pub(crate) fn encode_snapshot(
         }
     };
     // The warmed full-facility ServedTable, when the engine carries one —
-    // the other half of a serving cold start (subset tables are ephemeral
-    // LRU cache and stay that way).
+    // the other half of a serving cold start.
     match full_table {
         Some(table) => {
             buf.put_u8(1);
@@ -529,11 +529,13 @@ pub(crate) fn decode_engine(
         return Err(corrupt(format!("ψ = {psi}")));
     }
     let model = ServiceModel::new(scenario, psi);
+    // The two retired knob fields: ignored, but a value no engine could
+    // have written still marks the body corrupt.
     let rebuild_fraction = r.f64()?;
     if !rebuild_fraction.is_finite() || rebuild_fraction < 0.0 {
         return Err(corrupt(format!("rebuild fraction {rebuild_fraction}")));
     }
-    let subset_tables = r.u64()? as usize;
+    r.u64()?;
     let epoch = r.u64()?;
     if epoch != file.meta.epoch {
         return Err(corrupt(format!(
@@ -599,14 +601,7 @@ pub(crate) fn decode_engine(
     };
     r.finish()?;
     Ok(Engine::from_restored(
-        users,
-        facilities,
-        model,
-        backend,
-        epoch,
-        rebuild_fraction,
-        subset_tables,
-        full_table,
+        users, facilities, model, backend, epoch, full_table,
     ))
 }
 
@@ -785,16 +780,14 @@ impl Engine {
     /// lock briefly to rename it live and rebase the WAL.
     fn spawn_background_checkpoint(&mut self) {
         let snapshot: Arc<Snapshot> = self.snapshot();
-        let rebuild_fraction = self.rebuild_fraction();
-        let subset_capacity = self.subset_table_capacity();
         let durable = self.durable.as_mut().expect("caller checked durability");
         let store = Arc::clone(&durable.store);
         let dir = durable.lock().dir().to_path_buf();
         let handle = std::thread::Builder::new()
             .name("tq-checkpoint".into())
             .spawn(move || {
-                let (meta, body) = encode_snapshot(&snapshot, rebuild_fraction, subset_capacity)
-                    .map_err(|e| StoreError::Corrupt(e.to_string()))?;
+                let (meta, body) =
+                    encode_snapshot(&snapshot).map_err(|e| StoreError::Corrupt(e.to_string()))?;
                 let delay = BG_CHECKPOINT_DELAY_MS.load(Ordering::Relaxed);
                 if delay > 0 {
                     std::thread::sleep(std::time::Duration::from_millis(delay));
@@ -881,5 +874,52 @@ mod tests {
         buf.put_u32_le(1);
         buf.put_u8(9);
         assert!(decode_batch(&mut Reader::new(buf.freeze())).is_err());
+    }
+
+    /// The two retired knob fields sit after the scenario tag and ψ. They
+    /// are written with the knobs' last defaults; whatever an older engine
+    /// wrote there decodes to the same engine, and a value no engine could
+    /// have written is still corrupt.
+    #[test]
+    fn retired_knob_fields_are_written_as_defaults_and_ignored_on_read() {
+        use crate::engine::Query;
+        use crate::service::{Scenario, ServiceModel};
+        let p = |x: f64, y: f64| Point::new(x, y);
+        let mut engine = Engine::builder(ServiceModel::new(Scenario::Transit, 2.0))
+            .users(UserSet::from_vec(vec![
+                Trajectory::two_point(p(0.0, 0.0), p(10.0, 0.0)),
+                Trajectory::two_point(p(0.5, 0.0), p(9.5, 0.0)),
+            ]))
+            .facilities(FacilitySet::from_vec(vec![
+                tq_trajectory::Facility::new(vec![p(0.0, 1.0), p(10.0, 1.0)]),
+                tq_trajectory::Facility::new(vec![p(50.0, 50.0)]),
+            ]))
+            .build()
+            .unwrap();
+        engine.warm();
+        let (meta, body) = encode_engine(&engine).unwrap();
+        let body = body.as_ref().to_vec();
+        assert_eq!(body[9..17], 0.25f64.to_le_bytes());
+        assert_eq!(body[17..25], 8u64.to_le_bytes());
+
+        let decode = |fraction: f64, capacity: u64| {
+            let mut patched = body.clone();
+            patched[9..17].copy_from_slice(&fraction.to_le_bytes());
+            patched[17..25].copy_from_slice(&capacity.to_le_bytes());
+            decode_engine(&tq_store::SnapshotFile {
+                meta,
+                body: patched.into(),
+            })
+        };
+        let want = engine.run(Query::max_cov(1)).unwrap();
+        for (fraction, capacity) in [(0.25, 8), (0.0, 0), (1.0, 3)] {
+            let mut back = decode(fraction, capacity).expect("an old engine's knobs decode");
+            let got = back.run(Query::max_cov(1)).unwrap();
+            assert!(got.explain.cache.is_hit(), "the warmed table came back");
+            assert_eq!(got.cover().value.to_bits(), want.cover().value.to_bits());
+        }
+        for fraction in [f64::NAN, f64::INFINITY, -1.0] {
+            assert!(decode(fraction, 8).is_err(), "fraction {fraction} accepted");
+        }
     }
 }

@@ -26,22 +26,23 @@
 //! # Sharding is an `Index`
 //!
 //! [`ShardSet`] — the per-shard [`Snapshot`]s plus the monotone
-//! local→global id maps — implements [`Index`] and
+//! local→global id maps — implements [`Index`](crate::engine::Index) and
 //! sits behind [`Backend::Sharded`]. The [`ShardedEngine`] is a second
 //! single-writer control plane: it publishes ordinary [`Snapshot`]s
-//! (global users, merged tables, that backend) through ordinary
+//! (global users, the merged full table, that backend) through ordinary
 //! [`Reader`] handles, so the read plane, the serve loop and the network
 //! server are the single engine's own. What stays sharding-specific is the
 //! write side: update batches are validated globally, split into per-shard
 //! sub-batches by the [`Partitioner`], and applied to the shards **in
 //! parallel** — each shard revalidates and WAL-logs its sub-batch
-//! independently — and the front memo is kept key-for-key in lockstep with
-//! the shard memos so every merged table's parts stay incrementally
-//! maintained. On a warmed front that memo is the merged full table and
-//! nothing else: a restricted-candidate query projects its table from it
+//! independently. Warming is the one other write: [`ShardedEngine::warm`]
+//! warms every shard, scattered like an apply, and publishes the merge of
+//! their full tables, which each shard's apply then maintains and the
+//! front re-merges after every batch. A restricted-candidate query on a
+//! warmed front projects its table from the merged full table
 //! (`engine::session`), so it reaches no shard — no scatter, no thread
-//! scope, no shard-memo traffic — and only an unwarmed front ever builds
-//! (and admits, in lockstep) a subset table.
+//! scope; an unwarmed front builds its tables on the shards per query and
+//! keeps none.
 //!
 //! # Durability: per-shard stores + a routing log
 //!
@@ -65,10 +66,10 @@ pub use set::ShardSet;
 
 use crate::dynamic::{BatchOutcome, Update, UpdateError};
 use crate::engine::{
-    session, Answer, Backend, BackendChoice, Engine, EngineBuilder, EngineError, Index, Query,
-    Reader, Snapshot, SnapshotSlot, TableMemo,
+    session, Answer, Backend, BackendChoice, Engine, EngineBuilder, EngineError, Query, Reader,
+    Snapshot, SnapshotSlot,
 };
-use crate::fasthash::{FxHashMap, FxHashSet};
+use crate::fasthash::FxHashSet;
 use crate::maxcov::ServedTable;
 use crate::persist::StoreConfig;
 use routing::{RouteEvent, RoutingRecord};
@@ -100,8 +101,8 @@ pub(crate) struct ShardedDurable {
 }
 
 /// The sharded single-writer control plane: N independent [`Engine`]s,
-/// one global id space routed over them, and a merged-table memo kept in
-/// lockstep with the shards' memos. See the [module docs](self) for the
+/// one global id space routed over them, and — once warmed — the merge of
+/// the shards' full-facility tables. See the [module docs](self) for the
 /// bit-identity argument and the durability layout.
 #[derive(Debug)]
 pub struct ShardedEngine {
@@ -110,9 +111,6 @@ pub struct ShardedEngine {
     /// Global id → owning shard + local id (the inverse, local → global,
     /// is published in the snapshot's [`ShardSet`]).
     routing: Vec<RouteEntry>,
-    /// Front-end subset-table recency bookkeeping — admitted/evicted in
-    /// lockstep with every shard memo (same capacity, same key sequence).
-    memo: TableMemo,
     slot: Arc<SnapshotSlot>,
     snapshot: Arc<Snapshot>,
     durable: Option<ShardedDurable>,
@@ -235,46 +233,42 @@ impl ShardedEngine {
             engines.push(sb.build()?);
         }
 
-        let memo = TableMemo::new(template.subset_tables);
         let bounds = if is_tree { template.bounds } else { None };
         Ok(ShardedEngine::assemble(
-            engines, partitioner, routing, locals, users, memo, durable, bounds,
+            engines, partitioner, routing, locals, users, durable, bounds,
         ))
     }
 
     /// Final assembly shared by the builder and [`recover`]: publishes
     /// epoch 0 over the given state.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         engines: Vec<Engine>,
         partitioner: Partitioner,
         routing: Vec<RouteEntry>,
         locals: Vec<Vec<TrajectoryId>>,
         users: UserSet,
-        memo: TableMemo,
         durable: Option<ShardedDurable>,
         bounds: Option<Rect>,
     ) -> ShardedEngine {
         let shard0 = engines[0].snapshot();
-        let snapshot = Arc::new(Snapshot::new(
-            0,
-            Arc::new(users),
+        let snapshot = Arc::new(Snapshot {
+            epoch: 0,
+            users: Arc::new(users),
             // Shard 0's allocation, not a copy: its identity is how
             // `ShardSet::shard_tables` tells the registered set from a
             // restricted sub-set.
-            shard0.facilities.clone(),
-            shard0.model,
-            Arc::new(Backend::Sharded(ShardSet {
+            facilities: shard0.facilities.clone(),
+            model: shard0.model,
+            backend: Arc::new(Backend::Sharded(ShardSet {
                 shards: engines.iter().map(|e| e.snapshot()).collect(),
                 locals: locals.into_iter().map(Arc::new).collect(),
             })),
-            FxHashMap::default(),
-        ));
+            full: None,
+        });
         ShardedEngine {
             engines,
             partitioner,
             routing,
-            memo,
             slot: Arc::new(SnapshotSlot::new(snapshot.clone())),
             snapshot,
             durable,
@@ -301,98 +295,62 @@ impl ShardedEngine {
     /// Atomically publishes the successor snapshot at the next epoch and
     /// keeps the writer's handle in sync — the sharded sibling of the
     /// single engine's `publish`.
-    fn publish(
-        &mut self,
-        users: Arc<UserSet>,
-        set: ShardSet,
-        tables: FxHashMap<Vec<FacilityId>, Arc<ServedTable>>,
-    ) {
-        let snapshot = Arc::new(Snapshot::new(
-            self.snapshot.epoch + 1,
+    fn publish(&mut self, users: Arc<UserSet>, set: ShardSet, full: Option<Arc<ServedTable>>) {
+        let snapshot = Arc::new(Snapshot {
+            epoch: self.snapshot.epoch + 1,
             users,
-            self.snapshot.facilities.clone(),
-            self.snapshot.model,
-            Arc::new(Backend::Sharded(set)),
-            tables,
-        ));
+            facilities: self.snapshot.facilities.clone(),
+            model: self.snapshot.model,
+            backend: Arc::new(Backend::Sharded(set)),
+            full,
+        });
         self.snapshot = snapshot.clone();
         self.slot.store(snapshot);
+    }
+
+    /// The merged full-facility table over `set`'s shards: each shard's
+    /// own full table where it carries one, a shard-side build otherwise.
+    fn merge_full(&self, set: &ShardSet) -> Arc<ServedTable> {
+        let snap = &self.snapshot;
+        let all: Vec<FacilityId> = snap.facilities.iter().map(|(id, _)| id).collect();
+        let parts = set.shard_tables(&snap.model, &snap.facilities, &all);
+        Arc::new(set.merge(&all, &parts))
     }
 
     // -- queries ------------------------------------------------------------
 
     /// Answers a typed [`Query`] on the published snapshot — the same
-    /// `session::execute` every [`Reader`] runs — memoizing any merged
-    /// table the query had to build (and the per-shard tables behind it,
-    /// keeping the shard memos in lockstep); a table projected from the
-    /// merged full table touches neither memo nor shard. Bit-identical to
-    /// [`Engine::run`] on one engine over the union of the shards' users.
+    /// `session::execute` every [`Reader`] runs. A full-candidate query
+    /// that had to build the merged full table warms the front
+    /// ([`ShardedEngine::warm`]), so every shard holds the part its applies
+    /// maintain; any other table a query builds is discarded.
+    /// Bit-identical to [`Engine::run`] on one engine over the union of
+    /// the shards' users.
     pub fn run(&mut self, query: Query) -> Result<Answer, EngineError> {
-        let (answer, outcome) = session::execute(&self.snapshot, &query)?;
-        if let Some(outcome) = outcome {
-            match outcome.built {
-                Some(table) => self.absorb(outcome.key, table, outcome.parts),
-                None => {
-                    self.memo.touch(&outcome.key);
-                    for engine in &mut self.engines {
-                        engine.touch_table(&outcome.key);
-                    }
-                }
-            }
+        let (answer, built) = session::execute(&self.snapshot, &query)?;
+        if built.is_some() {
+            self.warm();
         }
         Ok(answer)
     }
 
-    /// Absorbs a freshly built merged table (and its per-shard parts)
-    /// into the memos — same admission/eviction decisions as the single
-    /// engine, applied to the front *and* every shard so their caches
-    /// stay key-for-key identical.
-    fn absorb(
-        &mut self,
-        key: Vec<FacilityId>,
-        merged: Arc<ServedTable>,
-        parts: Vec<Arc<ServedTable>>,
-    ) {
-        let is_full = key.len() == self.snapshot.facilities.len();
-        let mut evicted = Vec::new();
-        if !is_full {
-            if self.memo.capacity() == 0 {
-                return;
-            }
-            evicted = self.memo.admit(key.clone());
-        }
-        for (engine, part) in self.engines.iter_mut().zip(parts) {
-            // A shard reopened with its warmed table already holds its
-            // part; re-absorbing would only spend a shard epoch.
-            if engine.cached_table(&key).is_none() {
-                engine.absorb_table(key.clone(), part);
-            }
-        }
-        let mut tables = self.snapshot.tables.clone();
-        for k in &evicted {
-            tables.remove(k);
-        }
-        tables.insert(key, merged);
-        let set = self.current_shards(self.shard_set().locals.clone());
-        self.publish(self.snapshot.users.clone(), set, tables);
-    }
-
-    /// Pre-builds (and memoizes) the merged [`ServedTable`] over **all**
-    /// registered facilities — every shard builds its part in parallel —
-    /// and publishes: the sharded sibling of [`Engine::warm`].
+    /// Warms every shard ([`Engine::warm`], one thread per shard, like an
+    /// apply's scatter), then publishes the merge of their full-facility
+    /// tables: the sharded sibling of [`Engine::warm`].
     pub fn warm(&mut self) -> &ServedTable {
-        let snap = &self.snapshot;
-        if snap.full.is_none() {
-            let all: Vec<FacilityId> = snap.facilities.iter().map(|(id, _)| id).collect();
-            let (merged, parts) = self.shard_set().served_table_parts(
-                &snap.users,
-                &snap.model,
-                &snap.facilities,
-                &all,
-            );
-            self.absorb(all, Arc::new(merged), parts);
+        if self.snapshot.full.is_none() {
+            std::thread::scope(|scope| {
+                for engine in &mut self.engines {
+                    scope.spawn(move || {
+                        engine.warm();
+                    });
+                }
+            });
+            let set = self.current_shards(self.shard_set().locals.clone());
+            let full = self.merge_full(&set);
+            self.publish(self.snapshot.users.clone(), set, Some(full));
         }
-        self.snapshot.full_table().expect("absorbed above")
+        self.snapshot.full_table().expect("installed above")
     }
 
     // -- updates ------------------------------------------------------------
@@ -517,7 +475,6 @@ impl ShardedEngine {
                     outcome.removed += o.removed;
                     outcome.untouched += o.untouched;
                     outcome.patched += o.patched;
-                    outcome.reevaluated += o.reevaluated;
                 }
                 Err(EngineError::CheckpointFailed(why)) => {
                     checkpoint_failed
@@ -546,20 +503,11 @@ impl ShardedEngine {
             }
         }
 
-        // Re-merge every memoized front table from the shards' freshly
-        // maintained tables (a shard that lost one rebuilds it).
+        // Re-merge the front's full table from the shards' freshly
+        // maintained ones.
         let set = self.current_shards(locals);
-        let snap = &self.snapshot;
-        let tables = snap
-            .tables
-            .keys()
-            .map(|key| {
-                let parts = set.shard_tables(&snap.model, &snap.facilities, key);
-                let merged = set.merge(key, &parts);
-                (key.clone(), Arc::new(merged))
-            })
-            .collect();
-        self.publish(Arc::new(users), set, tables);
+        let full = self.snapshot.full.as_ref().map(|_| self.merge_full(&set));
+        self.publish(Arc::new(users), set, full);
         match checkpoint_failed {
             Some(e) => Err(e),
             None => Ok(outcome),
@@ -733,13 +681,8 @@ impl ShardedEngine {
         UserSet::from_vec(self.snapshot.users.iter().map(|(_, t)| t.clone()).collect())
     }
 
-    /// The memoized merged table for a (sorted) candidate set, if any.
-    pub fn cached_table(&self, candidates: &[FacilityId]) -> Option<&ServedTable> {
-        self.snapshot.cached_table(candidates)
-    }
-
-    /// The memoized merged full-facility table (see
-    /// [`ShardedEngine::warm`]).
+    /// The merged full-facility table (see [`ShardedEngine::warm`]);
+    /// `None` until the front is warmed.
     pub fn full_table(&self) -> Option<&ServedTable> {
         self.snapshot.full_table()
     }
@@ -812,5 +755,57 @@ mod tests {
         assert!(engine.persistence().is_none());
         assert!(Engine::open(&dir).is_err(), "no single-store image was written");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `warm` warms every shard and publishes the merge of their tables —
+    /// once, however often it is called — equal to one engine's table over
+    /// the same users.
+    #[test]
+    fn warm_publishes_the_merge_of_every_shard_table() {
+        let p = |x: f64, y: f64| Point::new(x, y);
+        let users = UserSet::from_vec(
+            (0..40)
+                .map(|i| {
+                    let (x, y) = ((i / 10 % 2) as f64 * 4.0, (i % 10) as f64 + 0.25);
+                    Trajectory::two_point(p(x, y), p(x + 4.0, y))
+                })
+                .collect(),
+        );
+        let facilities = FacilitySet::from_vec(
+            (0..5)
+                .map(|i| {
+                    let y = i as f64 * 2.0 + 0.5;
+                    Facility::new(vec![p(0.0, y), p(4.0, y), p(8.0, y)])
+                })
+                .collect(),
+        );
+        let builder = || {
+            Engine::builder(ServiceModel::new(Scenario::Transit, 1.0))
+                .users(users.clone())
+                .facilities(facilities.clone())
+                .bounds(Rect::new(p(0.0, 0.0), p(10.0, 10.0)))
+        };
+        let mut single = builder().build().unwrap();
+        let mut sharded = builder().shards(2).build_sharded().unwrap();
+        let epoch = sharded.epoch();
+        let shard_epochs: Vec<u64> = (0..2).map(|s| sharded.shard(s).epoch()).collect();
+        assert!(sharded.full_table().is_none());
+
+        let merged: *const ServedTable = sharded.warm();
+        assert_eq!(sharded.epoch(), epoch + 1);
+        for (s, shard_epoch) in shard_epochs.iter().enumerate() {
+            assert!(sharded.shard(s).full_table().is_some(), "shard {s} was not warmed");
+            assert_eq!(sharded.shard(s).epoch(), shard_epoch + 1, "shard {s}");
+        }
+        sharded.warm();
+        assert_eq!(sharded.epoch(), epoch + 1, "a second warm republished");
+        assert!(std::ptr::eq(sharded.full_table().unwrap(), merged));
+
+        let (got, want) = (sharded.full_table().unwrap(), single.warm());
+        assert_eq!(got.ids, want.ids);
+        assert_eq!(got.masks, want.masks);
+        let value_bits = |t: &ServedTable| t.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(value_bits(got), value_bits(want));
+        assert!(want.values.iter().any(|v| *v > 0.0), "setup: some route serves someone");
     }
 }

@@ -27,7 +27,7 @@
 
 use super::routing::{self, RouteEvent};
 use super::{persist_err, Partitioner, RouteEntry, ShardedDurable, ShardedEngine};
-use crate::engine::{Engine, EngineError, TableMemo};
+use crate::engine::{Engine, EngineError};
 use crate::persist::StoreConfig;
 use std::path::Path;
 use tq_store::manifest::{ShardManifest, ROUTING_FILE};
@@ -173,7 +173,6 @@ pub(crate) fn open_sharded(dir: &Path, config: StoreConfig) -> Result<ShardedEng
         }
     }
 
-    let memo = TableMemo::new(engines[0].subset_table_capacity());
     let bounds = engines[0].tree().map(|t| t.bounds());
     let log = routing::open_log(&routing_path, summary.valid_bytes, config.sync)
         .map_err(persist_err)?;
@@ -192,7 +191,6 @@ pub(crate) fn open_sharded(dir: &Path, config: StoreConfig) -> Result<ShardedEng
         routing_map,
         locals,
         users,
-        memo,
         durable,
         bounds,
     );

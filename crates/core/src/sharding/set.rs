@@ -46,14 +46,14 @@ impl ShardSet {
         &self.shards[i]
     }
 
-    /// Per-shard tables for a key: each shard's memoized table when it has
-    /// one, a scatter of local builds otherwise (one thread per missing
-    /// shard).
+    /// Per-shard tables for a key: each shard's full-facility table when
+    /// the key names every registered facility and the shard carries one,
+    /// a scatter of local builds otherwise (one thread per missing shard).
     ///
-    /// Shard memos are keyed by *registered* facility ids, so they are
-    /// consulted only when `facilities` is the registered set itself — the
-    /// front end shares shard 0's allocation. Any other set (the dense
-    /// sub-set of a restricted-candidate top-k) is always built.
+    /// A shard's full table is the table of the *registered* facilities, so
+    /// it is consulted only when `facilities` is the registered set itself
+    /// — the front end shares shard 0's allocation. Any other set (the
+    /// dense sub-set of a restricted-candidate top-k) is always built.
     pub(crate) fn shard_tables(
         &self,
         model: &ServiceModel,
@@ -64,7 +64,12 @@ impl ShardSet {
         let cached: Vec<Option<Arc<ServedTable>>> = self
             .shards
             .iter()
-            .map(|shard| shard.tables.get(key).filter(|_| registered).cloned())
+            .map(|shard| {
+                shard
+                    .full
+                    .clone()
+                    .filter(|full| registered && full.len() == key.len())
+            })
             .collect();
         let missing: Vec<usize> = (0..cached.len()).filter(|&s| cached[s].is_none()).collect();
         let fanout = Instant::now();
@@ -91,8 +96,7 @@ impl ShardSet {
                 .collect::<Vec<_>>()
         });
         // Scatter timing. Label formatting and the registry lookup are
-        // confined to the memo-miss path, where a full table build dwarfs
-        // them.
+        // confined to the build path, where a table build dwarfs them.
         if tq_obs::enabled() && !missing.is_empty() {
             tq_obs::histogram("tq_shard_fanout_ns", "").record(fanout.elapsed());
             for (&s, (_, elapsed)) in missing.iter().zip(&built) {
@@ -182,25 +186,18 @@ impl Index for ShardSet {
         }
     }
 
+    /// The shards build over their own user sets; the global one is not
+    /// consulted.
     fn served_table(
-        &self,
-        users: &UserSet,
-        model: &ServiceModel,
-        facilities: &FacilitySet,
-        candidates: &[FacilityId],
-    ) -> ServedTable {
-        self.served_table_parts(users, model, facilities, candidates)
-            .0
-    }
-
-    fn served_table_parts(
         &self,
         _users: &UserSet,
         model: &ServiceModel,
         facilities: &FacilitySet,
         candidates: &[FacilityId],
-    ) -> (ServedTable, Vec<Arc<ServedTable>>) {
-        let parts = self.shard_tables(model, facilities, candidates);
-        (self.merge(candidates, &parts), parts)
+    ) -> ServedTable {
+        self.merge(
+            candidates,
+            &self.shard_tables(model, facilities, candidates),
+        )
     }
 }

@@ -315,10 +315,14 @@ impl Decode for Answer {
 // BatchOutcome (the apply acknowledgement payload)
 // ---------------------------------------------------------------------------
 
+// The fourth counter slot carried the count of facilities re-evaluated
+// through the tree, a path `Engine::apply` no longer has. It stays on the
+// wire so peers of either age decode each other: written as 0, read and
+// ignored.
 impl Encode for BatchOutcome {
     fn encode(&self, buf: &mut BytesMut) {
         self.inserted.encode(buf);
-        for n in [self.removed, self.untouched, self.patched, self.reevaluated] {
+        for n in [self.removed, self.untouched, self.patched, 0] {
             buf.put_u64_le(n as u64);
         }
     }
@@ -327,13 +331,14 @@ impl Encode for BatchOutcome {
 impl Decode for BatchOutcome {
     const MIN_SIZE: usize = 4 + 32;
     fn decode(r: &mut Reader) -> Result<Self, StoreError> {
-        Ok(BatchOutcome {
+        let outcome = BatchOutcome {
             inserted: Vec::decode(r)?,
             removed: r.u64()? as usize,
             untouched: r.u64()? as usize,
             patched: r.u64()? as usize,
-            reevaluated: r.u64()? as usize,
-        })
+        };
+        r.u64()?;
+        Ok(outcome)
     }
 }
 
@@ -427,12 +432,33 @@ mod tests {
             removed: 3,
             untouched: 40,
             patched: 5,
-            reevaluated: 2,
         };
+        let mut buf = BytesMut::new();
+        out.encode(&mut buf);
+        let mut bytes = buf.as_ref().to_vec();
+        assert_eq!(
+            bytes.len(),
+            4 + 2 * 4 + 4 * 8,
+            "four counter slots, as before"
+        );
+        assert_eq!(
+            bytes[bytes.len() - 8..],
+            [0; 8],
+            "the retired slot is written as 0"
+        );
         let back = codec_roundtrip(&out);
         assert_eq!(back.inserted, out.inserted);
-        assert_eq!(back.removed, 3);
-        assert_eq!(back.reevaluated, 2);
+        assert_eq!((back.removed, back.untouched, back.patched), (3, 40, 5));
+
+        // An older peer fills the fourth slot with its re-evaluation count:
+        // it decodes, and the count is dropped.
+        let n = bytes.len();
+        bytes[n - 8..].copy_from_slice(&2u64.to_le_bytes());
+        let mut r = Reader::new(bytes.into());
+        let old = BatchOutcome::decode(&mut r).expect("an old peer's ack decodes");
+        r.finish().expect("all four slots consumed");
+        assert_eq!(old.inserted, out.inserted);
+        assert_eq!((old.removed, old.untouched, old.patched), (3, 40, 5));
     }
 
     #[test]

@@ -61,18 +61,19 @@ fn main() -> Result<(), EngineError> {
     let apply_ms = t.elapsed().as_secs_f64() * 1e3;
     println!(
         "day 2: +{}/-{} trips in {apply_ms:.0} ms ({} live; facilities: \
-         {} untouched, {} patched, {} reevaluated)",
+         {} untouched, {} patched)",
         out.inserted.len(),
         out.removed,
         engine.live_users(),
         out.untouched,
         out.patched,
-        out.reevaluated,
     );
     let stats = engine.stats();
     println!(
-        "maintenance: {:.1}% of full facility evaluations skipped vs rebuild-every-batch",
-        100.0 * stats.skipped_fraction()
+        "maintenance: no facility re-evaluated vs rebuild-every-batch; {:.1}% untouched, \
+         {} delta mask tests",
+        100.0 * stats.untouched_fraction(),
+        stats.patch_evaluations
     );
 
     // Plan 4 routes over the live window. The answer comes straight from

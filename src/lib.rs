@@ -64,16 +64,16 @@
 //! let cover = engine.run(Query::max_cov(2).algorithm(Algorithm::TwoStep))?;
 //! assert!(cover.cover().value >= top.ranked()[0].1 - 1e-9);
 //!
-//! // The engine memoizes the served table the coverage query built, so a
-//! // top-k re-query over the same candidates is answered from cache.
+//! // The coverage query built the served table over all routes and the
+//! // engine kept it, so a top-k re-query is answered from it.
 //! let again = engine.run(Query::top_k(4))?;
 //! assert!(again.explain.cache.is_hit());
 //! # Ok::<(), tq::core::engine::EngineError>(())
 //! ```
 //!
 //! Streaming workloads use the same type — [`Engine::apply`] ingests
-//! batched arrivals/expiries and keeps every memoized answer bit-identical
-//! to a fresh build+query:
+//! batched arrivals/expiries and keeps the warmed table bit-identical to a
+//! fresh build+query:
 //!
 //! ```
 //! use tq::prelude::*;
@@ -86,7 +86,7 @@
 //!     .facilities(routes)
 //!     .bounds(city.bounds.expand(1.0))
 //!     .build()?;
-//! engine.warm(); // seed the memo so batches maintain it incrementally
+//! engine.warm(); // build the full table so batches maintain it incrementally
 //!
 //! let newcomer = taxi_trips(&city, 1, 99).get(0).clone();
 //! engine.apply(&[Update::Insert(newcomer), Update::Remove(0)])?;

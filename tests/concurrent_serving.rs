@@ -5,7 +5,7 @@
 //! TqTree and the Baseline backends.
 //!
 //! The protocol: the writer publishes epochs (update batches on the
-//! TQ-tree backend; memo absorptions on the static baseline) and records,
+//! TQ-tree backend; the warm publication on the static baseline) and records,
 //! for every epoch it published, the *serial* answer fingerprint of a
 //! fixed query script (computed single-threadedly on that epoch's
 //! snapshot, plus — on the updatable backend — cross-checked against a
@@ -13,10 +13,12 @@
 //! writer, each logging `(epoch, fingerprint)` observations. After the
 //! join, every observation must equal the serial fingerprint recorded for
 //! its epoch: a reader that ever saw half-applied state would fingerprint
-//! a state no serial history contains.
+//! a state no serial history contains. Every reader observes the epoch the
+//! race starts on and the one it ends on, so a writer that publishes at
+//! all is raced by construction.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use tq::core::tqtree::TqTreeConfig;
@@ -28,8 +30,9 @@ use tq::prelude::*;
 const READERS: usize = 8;
 
 /// The fixed query script fingerprinted on every snapshot: exercises the
-/// memo-hit path (full-set queries after `warm`), the build-locally path
-/// (subset queries, never memoized by readers), and two solver families.
+/// full-table path (full-set queries after `warm`), the projection path
+/// (subset queries after `warm`), the build-locally path (every query
+/// before it), and two solver families.
 fn script() -> Vec<Query> {
     vec![
         Query::top_k(5),
@@ -77,7 +80,8 @@ fn routes(n: usize, seed: u64) -> FacilitySet {
 /// Runs `writer` (which should publish epochs and record serial
 /// fingerprints) while `READERS` threads log `(epoch, fingerprint)`
 /// observations off the engine's reader handle, then checks every
-/// observation against the serial history.
+/// observation against the serial history and that the readers saw the
+/// writer publish (at least two distinct epochs).
 fn race_readers_against(
     engine: &mut Engine,
     writer: impl FnOnce(&mut Engine, &mut HashMap<u64, Vec<u64>>),
@@ -87,15 +91,21 @@ fn race_readers_against(
     serial.insert(engine.epoch(), fingerprint(&engine.snapshot()));
 
     let stop = AtomicBool::new(false);
+    let started = AtomicUsize::new(0);
     let observations: Vec<Vec<(u64, Vec<u64>)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..READERS)
             .map(|_| {
                 let reader = reader.clone();
-                let stop = &stop;
+                let (stop, started) = (&stop, &started);
                 s.spawn(move || {
                     let mut seen = Vec::new();
                     let mut last_epoch = 0u64;
                     loop {
+                        // Read before the snapshot: `stop` is stored
+                        // (Release) after the writer's last publication, so
+                        // the observation that ends the loop is of the
+                        // final epoch.
+                        let done = stop.load(Ordering::Acquire);
                         let snap = reader.snapshot();
                         assert!(
                             snap.epoch() >= last_epoch,
@@ -104,7 +114,10 @@ fn race_readers_against(
                         );
                         last_epoch = snap.epoch();
                         seen.push((snap.epoch(), fingerprint(&snap)));
-                        if stop.load(Ordering::Relaxed) {
+                        if seen.len() == 1 {
+                            started.fetch_add(1, Ordering::Release);
+                        }
+                        if done {
                             return seen;
                         }
                     }
@@ -112,10 +125,16 @@ fn race_readers_against(
             })
             .collect();
 
+        // Every reader observes the starting epoch before the writer
+        // publishes anything (each counts itself in, Release, after its
+        // first observation).
+        while started.load(Ordering::Acquire) < READERS {
+            std::thread::yield_now();
+        }
         writer(engine, &mut serial);
         // Give the racing readers a moment on the final epoch too.
         std::thread::sleep(Duration::from_millis(20));
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true, Ordering::Release);
         handles
             .into_iter()
             .map(|h| h.join().expect("reader thread panicked"))
@@ -123,6 +142,7 @@ fn race_readers_against(
     });
 
     let mut total = 0usize;
+    let mut epochs = BTreeSet::new();
     for (r, seen) in observations.iter().enumerate() {
         assert!(!seen.is_empty(), "reader {r} made no observations");
         for (epoch, bits) in seen {
@@ -133,11 +153,16 @@ fn race_readers_against(
                 bits, expected,
                 "reader {r} at epoch {epoch}: answers diverged from the serial history"
             );
+            epochs.insert(*epoch);
             total += 1;
         }
     }
     // Sanity: the race actually exercised concurrency.
     assert!(total >= READERS, "too few observations: {total}");
+    assert!(
+        epochs.len() >= 2,
+        "the readers raced no publication: epochs {epochs:?}"
+    );
 }
 
 #[test]
@@ -183,29 +208,48 @@ fn tqtree_readers_match_serial_history_under_update_batches() {
 }
 
 #[test]
-fn baseline_readers_match_serial_history_under_memo_publications() {
+fn baseline_readers_match_serial_history_across_the_warm_publication() {
+    // Unwarmed: the race starts on the epoch every query builds its table
+    // on, and straddles the one publication the static baseline makes.
     let mut engine = Engine::builder(ServiceModel::new(Scenario::PointCount, 40.0))
         .users(users(250, 11))
         .facilities(routes(12, 12))
         .baseline()
-        .subset_tables(2)
         .build()
         .unwrap();
-    engine.warm();
 
     race_readers_against(&mut engine, |engine, serial| {
-        // The static baseline publishes epochs only through control-plane
-        // memo absorption (subset-table builds + LRU evictions). Data
-        // never changes, so every epoch's serial fingerprint must be the
-        // same bits — and every racing reader must agree.
+        // Subset covers on both sides of `warm`: built and discarded
+        // before it, projected after it, publishing nothing either way.
+        // Data never changes, so both epochs' serial fingerprints and both
+        // sides' covers are the same bits — and every racing reader must
+        // agree.
         let subsets: [&[u32]; 4] = [&[0, 1, 2], &[3, 4, 5], &[6, 7, 8], &[9, 10, 11]];
-        for (i, sub) in subsets.iter().cycle().take(12).enumerate() {
-            engine
-                .run(Query::max_cov(2).candidates(sub))
-                .unwrap_or_else(|e| panic!("memo publication {i}: {e}"));
-            // (epochs advance on misses; hits re-run at the same epoch)
-            serial.insert(engine.epoch(), fingerprint(&engine.snapshot()));
-        }
+        let covers = |engine: &mut Engine, warmed: bool| -> Vec<u64> {
+            let epoch = engine.epoch();
+            let bits = subsets
+                .iter()
+                .flat_map(|sub| {
+                    let ans = engine.run(Query::max_cov(2).candidates(sub)).unwrap();
+                    assert_eq!(ans.explain.cache, CacheStatus::Miss);
+                    assert_eq!(
+                        ans.explain.eval.items_tested == 0,
+                        warmed,
+                        "warmed: {warmed}"
+                    );
+                    [ans.cover().value.to_bits(), ans.cover().users_served as u64]
+                })
+                .collect();
+            assert_eq!(engine.epoch(), epoch, "a subset cover published");
+            bits
+        };
+        let cold = covers(engine, false);
+        engine.warm();
+        serial.insert(engine.epoch(), fingerprint(&engine.snapshot()));
+        assert_eq!(covers(engine, true), cold);
+        let mut truths = serial.values();
+        let first = truths.next().expect("two epochs recorded");
+        assert!(truths.all(|t| t == first), "static data, different answers");
         // Updates stay rejected on the static backend.
         assert_eq!(
             engine.apply(&[Update::Remove(0)]).unwrap_err(),

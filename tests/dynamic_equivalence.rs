@@ -8,7 +8,6 @@
 //! all three value semantics cross the incremental path, with ≥ 200 events
 //! per preset.
 
-use tq::core::engine::DEFAULT_REBUILD_FRACTION;
 use tq::core::maxcov::{greedy, ServedTable};
 use tq::core::top_k_facilities;
 use tq::datagen::{bus_routes, stream_scenario, StreamEvent, StreamKind};
@@ -27,14 +26,12 @@ fn warmed_engine(
     routes: &FacilitySet,
     model: ServiceModel,
     tree_cfg: TqTreeConfig,
-    rebuild_fraction: f64,
 ) -> Engine {
     let mut engine = Engine::builder(model)
         .users(trace.initial.clone())
         .facilities(routes.clone())
         .tree_config(tree_cfg)
         .bounds(trace.bounds)
-        .rebuild_fraction(rebuild_fraction)
         .build()
         .expect("generated traces start inside their bounds");
     engine.warm();
@@ -61,8 +58,7 @@ fn check_preset(
     let routes = bus_routes(&city, 32, 8, 14_000.0, seed ^ 0xFACE);
     let model = ServiceModel::new(scenario, 200.0);
     let tree_cfg = TqTreeConfig::z_order(placement).with_beta(32);
-    let mut engine =
-        warmed_engine(&trace, &routes, model, tree_cfg, DEFAULT_REBUILD_FRACTION);
+    let mut engine = warmed_engine(&trace, &routes, model, tree_cfg);
 
     let mut batches_checked = 0;
     for chunk in trace.events.chunks(BATCH) {
@@ -161,35 +157,89 @@ fn bjg_gps_length_bit_identical() {
     );
 }
 
-/// The engine must also stay bit-identical when the targeted-rebuild
-/// fallback fires on every touched facility (rebuild_fraction = 0).
+/// The engine must also stay bit-identical under a batch heavy enough
+/// that some facility meets more relevant deltas than a quarter of the
+/// live set — where patching is still the one maintenance path. The trace
+/// is replayed as one bulk batch: the engine starts from the first
+/// `START` initial trips, and the batch carries the remaining ones (which
+/// keep their ids) followed by the trace's own events. Heaviness is read
+/// off the trace, per facility: a delta is relevant when its MBR meets the
+/// facility's ψ-expanded EMBR.
 #[test]
-fn rebuild_fallback_bit_identical() {
+fn heavy_batch_patches_bit_identical() {
+    const START: usize = 50;
     let city = tq::datagen::presets::ny_city();
     let trace = stream_scenario(&city, StreamKind::Taxi, 800, 200, 0.5, 44);
     let routes = bus_routes(&city, 24, 8, 14_000.0, 45);
     let model = ServiceModel::new(Scenario::Transit, 200.0);
     let tree_cfg = TqTreeConfig::default().with_beta(32);
-    let mut engine = warmed_engine(&trace, &routes, model, tree_cfg, 0.0);
-    for chunk in trace.events.chunks(50) {
-        let updates: Vec<Update> = chunk
-            .iter()
-            .map(|e| match e {
-                StreamEvent::Arrive(t) => Update::Insert(t.clone()),
-                StreamEvent::Expire(id) => Update::Remove(*id),
-            })
-            .collect();
-        engine.apply(&updates).unwrap();
-    }
+    let start = StreamScenario {
+        initial: UserSet::from_vec(
+            trace
+                .initial
+                .iter()
+                .take(START)
+                .map(|(_, t)| t.clone())
+                .collect(),
+        ),
+        events: Vec::new(),
+        bounds: trace.bounds,
+    };
+    let mut engine = warmed_engine(&start, &routes, model, tree_cfg);
+
+    // Every trip the trace names, by id: the initial ones, then the
+    // arrivals in event order.
+    let trips: Vec<Trajectory> = trace
+        .initial
+        .iter()
+        .map(|(_, t)| t.clone())
+        .chain(trace.events.iter().filter_map(|e| match e {
+            StreamEvent::Arrive(t) => Some(t.clone()),
+            StreamEvent::Expire(_) => None,
+        }))
+        .collect();
+    let batch: Vec<Update> = trips[START..trace.initial.len()]
+        .iter()
+        .map(|t| Update::Insert(t.clone()))
+        .chain(trace.events.iter().map(StreamEvent::to_update))
+        .collect();
+    let live = trace.initial.len() + trace.arrivals() - trace.expiries();
+    let quarter = (0.25 * live as f64).ceil() as usize;
+    let heaviest = routes
+        .iter()
+        .map(|(_, route)| {
+            let embr = route.embr(model.psi);
+            batch
+                .iter()
+                .filter(|u| {
+                    let mbr = match u {
+                        Update::Insert(t) => t.mbr(),
+                        Update::Remove(id) => trips[*id as usize].mbr(),
+                    };
+                    embr.intersects(&mbr)
+                })
+                .count()
+        })
+        .max()
+        .unwrap();
     assert!(
-        engine.stats().facilities_reevaluated > 0,
-        "setup: fallback must actually fire"
+        heaviest > quarter,
+        "setup: {heaviest} relevant deltas, a quarter is {quarter}"
     );
-    let live = engine.live_set();
-    let fresh_tree = TqTree::build_with_bounds(&live, tree_cfg, trace.bounds);
-    let want = top_k_facilities(&fresh_tree, &live, &model, &routes, 8).ranked;
+
+    engine.apply(&batch).expect("generated traces are valid");
+    assert_eq!(engine.live_users(), live);
+    let live_set = engine.live_set();
+    let fresh_tree = TqTree::build_with_bounds(&live_set, tree_cfg, trace.bounds);
+    let want = top_k_facilities(&fresh_tree, &live_set, &model, &routes, 8).ranked;
     for ((gid, gv), (wid, wv)) in maintained_top_k(&mut engine, 8).iter().zip(&want) {
         assert_eq!(gid, wid);
         assert_eq!(gv.to_bits(), wv.to_bits());
+    }
+    let fresh_table = ServedTable::build(&fresh_tree, &live_set, &model, &routes);
+    let table = engine.full_table().expect("warmed at construction");
+    for (fi, (gv, wv)) in table.values.iter().zip(&fresh_table.values).enumerate() {
+        assert_eq!(gv.to_bits(), wv.to_bits(), "facility {fi} table value");
+        assert_eq!(table.masks[fi].len(), fresh_table.masks[fi].len());
     }
 }

@@ -145,9 +145,10 @@ fn registry_totals_match_concurrent_observations_on_both_backends() {
     }
 }
 
-/// Sharded scatter–gather: one memo-missing query builds exactly one
+/// Sharded scatter–gather: one table-building query builds exactly one
 /// table per shard, the per-shard labelled counters sum to the registry
-/// total, and a repeat of the same query (a front-memo hit) builds none.
+/// total, and once the front is warmed the same query (a projection of
+/// the merged full table) builds none.
 #[test]
 fn sharded_shard_builds_sum_to_the_registry_total() {
     let _guard = lock();
@@ -160,25 +161,25 @@ fn sharded_shard_builds_sum_to_the_registry_total() {
         .tree_config(TqTreeConfig::default().with_beta(8))
         .bounds(city.bounds.expand(1.0))
         .shards(SHARDS)
-        .subset_tables(2)
         .build_sharded()
         .expect("sharded engine builds");
 
-    // A subset *coverage* query resolves through the merged-table memo
-    // (subset top-k deliberately memoizes nothing, like the single
-    // engine's best-first search).
+    // A subset *coverage* query on the unwarmed front builds its merged
+    // table on the shards and keeps none of it.
     let q = Query::max_cov(2)
         .candidates(&[0, 2, 4, 6, 8])
         .algorithm(Algorithm::Greedy);
     let before = obs::snapshot();
     engine.run(q.clone()).expect("subset query runs");
     let mid = obs::snapshot();
+    engine.warm();
+    let warmed = obs::snapshot();
     engine.run(q).expect("repeat query runs");
     let after = obs::snapshot();
 
     let built = |s: &obs::MetricsSnapshot| s.counter_total("tq_shard_tables_built_total");
     assert_eq!(built(&mid) - built(&before), SHARDS as u64, "one build per shard");
-    assert_eq!(built(&after) - built(&mid), 0, "the memo hit must build nothing");
+    assert_eq!(built(&after) - built(&warmed), 0, "the projection must build nothing");
 
     let mut per_shard = 0u64;
     for i in 0..SHARDS {

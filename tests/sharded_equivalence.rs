@@ -216,7 +216,7 @@ fn sharded_tracks_single_engine_through_update_batches() {
 }
 
 // ---------------------------------------------------------------------------
-// Cache semantics: warm, hits, memo lockstep with eviction
+// Cache semantics: warm, hits, and what an unwarmed front keeps
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -229,23 +229,16 @@ fn warm_and_cached_queries_hit_identically() {
         .build_sharded()
         .unwrap();
 
-    // Subset max-cov on the unwarmed pair: Miss then Hit, mirrored.
+    // Subset max-cov on the unwarmed pair: Miss then Miss — an unwarmed
+    // engine keeps no subset table — mirrored.
     let ids: Vec<u32> = routes.iter().map(|(id, _)| id).take(4).collect();
     let q = || Query::max_cov(2).candidates(&ids);
     let mut unwarmed = None;
-    for (pass, want_hit) in [(1, false), (2, true)] {
+    for pass in 1..=2 {
         let a = single.run(q()).unwrap();
         let b = sharded.run(q()).unwrap();
-        assert_eq!(
-            a.explain.cache.is_hit(),
-            want_hit,
-            "single pass {pass}"
-        );
-        assert_eq!(
-            b.explain.cache.is_hit(),
-            want_hit,
-            "sharded pass {pass}"
-        );
+        assert_eq!(a.explain.cache, CacheStatus::Miss, "single pass {pass}");
+        assert_eq!(b.explain.cache, CacheStatus::Miss, "sharded pass {pass}");
         assert_eq!(a.cover().chosen, b.cover().chosen);
         assert_eq!(a.cover().value.to_bits(), b.cover().value.to_bits());
         unwarmed = Some(a);
@@ -279,10 +272,10 @@ fn warm_and_cached_queries_hit_identically() {
     assert!(b.explain.cache.is_hit());
     assert_eq!(a.ranked(), b.ranked());
 
-    // The mirror on the warmed pair: a subset nobody memoized is projected
-    // from the (merged) full table — Miss, Miss, nothing published, nothing
-    // admitted on the front or on any shard, no shard consulted, and the
-    // bits of an unwarmed engine's build.
+    // The mirror on the warmed pair: a subset is projected from the
+    // (merged) full table — Miss, Miss, nothing published on the front or
+    // on any shard, no shard consulted, and the bits of an unwarmed
+    // engine's build.
     let other: Vec<u32> = routes.iter().map(|(id, _)| id).skip(2).take(4).collect();
     let want = tree_builder(model, &trace, &routes)
         .build()
@@ -304,49 +297,89 @@ fn warm_and_cached_queries_hit_identically() {
         }
     }
     assert_eq!((single.epoch(), sharded.epoch()), (epoch_a, epoch_b));
-    assert!(single.cached_table(&other).is_none() && sharded.cached_table(&other).is_none());
     for (s, epoch) in shard_epochs.iter().enumerate() {
         assert_eq!(sharded.shard(s).epoch(), *epoch, "shard {s} was touched");
-        assert!(sharded.shard(s).cached_table(&other).is_none());
     }
-    // The subset memoized before the warm still answers as a Hit, with the
+    // The subset queried before the warm is now projected too, with the
     // bits it had.
     let a = single.run(q()).unwrap();
     let b = sharded.run(q()).unwrap();
-    assert!(a.explain.cache.is_hit() && b.explain.cache.is_hit());
+    assert_eq!(
+        (a.explain.cache, b.explain.cache),
+        (CacheStatus::Miss, CacheStatus::Miss)
+    );
     assert_eq!(a.cover().value.to_bits(), unwarmed.cover().value.to_bits());
     assert_eq!(b.cover().value.to_bits(), unwarmed.cover().value.to_bits());
 }
 
+/// An unwarmed engine keeps no subset table: a repeated subset cover is
+/// built twice, publishes nothing and answers the same bits, on a plain
+/// engine and on a sharded front alike. A full-candidate cover is what
+/// warms: on the front it warms every shard too, and later applies keep
+/// the front's maintained table equal to the plain engine's.
 #[test]
-fn subset_memo_eviction_stays_in_lockstep() {
-    // Capacity-1 subset memo: querying B must evict A on the front *and*
-    // on every shard, so a re-query of A misses on both engines.
+fn an_unwarmed_engine_rebuilds_subset_tables_and_a_full_cover_warms_every_shard() {
     let model = ServiceModel::new(Scenario::Transit, 220.0);
     let (trace, routes) = small_workload(17, StreamKind::Taxi);
-    let ids: Vec<u32> = routes.iter().map(|(id, _)| id).collect();
-    let (a_ids, b_ids) = (&ids[..3], &ids[3..6]);
-
-    let mut single = tree_builder(model, &trace, &routes)
-        .subset_tables(1)
-        .build()
-        .unwrap();
+    let subset: Vec<u32> = routes.iter().map(|(id, _)| id).take(3).collect();
+    let mut single = tree_builder(model, &trace, &routes).build().unwrap();
     let mut sharded = tree_builder(model, &trace, &routes)
-        .subset_tables(1)
-        .shards(4)
+        .shards(2)
         .build_sharded()
         .unwrap();
-    let mut statuses = |q: Query| {
-        let a = single.run(q.clone()).unwrap();
-        let b = sharded.run(q).unwrap();
+
+    let mut bits = Vec::new();
+    for pass in 1..=2 {
+        let epochs = (single.epoch(), sharded.epoch());
+        let a = single.run(Query::max_cov(2).candidates(&subset)).unwrap();
+        let b = sharded.run(Query::max_cov(2).candidates(&subset)).unwrap();
+        for (name, got) in [("single", &a), ("sharded", &b)] {
+            assert_eq!(got.explain.cache, CacheStatus::Miss, "{name} pass {pass}");
+            assert!(
+                got.explain.eval.nodes_visited > 0,
+                "{name} pass {pass}: built"
+            );
+        }
+        assert_eq!(
+            (single.epoch(), sharded.epoch()),
+            epochs,
+            "pass {pass} published"
+        );
+        assert_eq!(a.cover().chosen, b.cover().chosen);
         assert_eq!(a.cover().value.to_bits(), b.cover().value.to_bits());
-        (a.explain.cache.is_hit(), b.explain.cache.is_hit())
-    };
-    assert_eq!(statuses(Query::max_cov(2).candidates(a_ids)), (false, false));
-    assert_eq!(statuses(Query::max_cov(2).candidates(a_ids)), (true, true));
-    assert_eq!(statuses(Query::max_cov(2).candidates(b_ids)), (false, false));
-    // B evicted A from the capacity-1 memo — on both engines alike.
-    assert_eq!(statuses(Query::max_cov(2).candidates(a_ids)), (false, false));
+        bits.push((a.cover().chosen.clone(), a.cover().value.to_bits()));
+    }
+    assert_eq!(bits[0], bits[1], "the rebuilt table answered differently");
+    assert!(single.full_table().is_none() && sharded.full_table().is_none());
+
+    // A full-candidate cover warms the front and every shard.
+    let a = single.run(Query::max_cov(2)).unwrap();
+    let b = sharded.run(Query::max_cov(2)).unwrap();
+    assert_eq!(a.cover().value.to_bits(), b.cover().value.to_bits());
+    assert!(single.full_table().is_some());
+    assert!(sharded.full_table().is_some(), "the front was not warmed");
+    for s in 0..sharded.shard_count() {
+        assert!(
+            sharded.shard(s).full_table().is_some(),
+            "shard {s} was not warmed"
+        );
+    }
+
+    // Applies maintain the shards' tables, and the front re-merges them.
+    for batch in trace.update_batches(10).iter().take(3) {
+        single.apply(batch).unwrap();
+        sharded.apply(batch).unwrap();
+        let table_bits =
+            |t: &ServedTable| -> Vec<u64> { t.values.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(
+            table_bits(sharded.full_table().unwrap()),
+            table_bits(single.full_table().unwrap())
+        );
+        assert_eq!(
+            sharded_fingerprint(&mut sharded, false),
+            engine_fingerprint(&mut single, false)
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
