@@ -105,9 +105,8 @@ pub fn global_usage(commands: &[&Command]) -> String {
     s.push_str(
         "  help         this text\n\n\
          Evaluation fans out across --threads worker threads (0 = one per core,\n\
-         the default); results are identical at any thread count. `tq serve`\n\
-         additionally fans *queries* across --clients reader threads over\n\
-         immutable snapshots while updates stream through the single writer.\n\
+         the default); results are identical at any thread count. To serve\n\
+         concurrent clients, `tq save` a store and run `tqd` over it.\n\
          See docs/GUIDE.md for worked examples of every command.\n",
     );
     s

@@ -16,8 +16,8 @@
 //! connections and writes a final checkpoint. A killed daemon loses
 //! nothing acked: reopening the store replays the WAL tail.
 //!
-//! Sharded store directories (created by `tq serve --shards N --persist`
-//! or [`EngineBuilder::build_sharded`](tq_core::engine::EngineBuilder))
+//! Sharded store directories (created by `tq save --shards N` or
+//! [`EngineBuilder::build_sharded`](tq_core::engine::EngineBuilder))
 //! are detected automatically: the daemon recovers every shard in
 //! parallel and serves scatter–gather queries over the
 //! [`ShardedEngine`](tq_core::sharding::ShardedEngine) front end — same

@@ -7,7 +7,7 @@
 //! tq topk    city.tqd --k 8 --psi 200 --scenario transit
 //! tq maxcov  city.tqd --k 4 --psi 200 --method two-step
 //! tq stream  --kind nyt --users 20000 --events 2000 --batch 200 --k 8
-//! tq serve   --clients 4 --duration 5 --users 20000 --batch 200
+//! tq save    city.tqd --store ./city-store --shards 4
 //! ```
 //!
 //! Every query command runs through the unified [`tq_core::engine::Engine`]
@@ -23,18 +23,15 @@
 //! *engines* travel as `tq-store` directories (arena snapshot + update
 //! WAL): `tq save` persists a built engine, `tq load` cold-starts from
 //! one (replaying the WAL tail), `tq inspect` diagnoses store files from
-//! the shell, and `tq stream --wal` / `tq serve --persist` run their
-//! update streams durably.
+//! the shell, and `tq stream --wal` runs its update stream durably. `tqd`
+//! serves a saved store (sharded ones too) over TCP.
 
 mod args;
 
 use args::{global_usage, Args, Command, Flag};
 use tq_core::engine::{Algorithm, Engine, EngineBuilder, Query};
-
-use tq_core::serve::{serve, ServeConfig, Workload};
 use tq_core::service::{Scenario, ServiceModel};
 use tq_core::tqtree::{Placement, TqTree, TqTreeConfig};
-use tq_core::StoreConfig;
 use tq_datagen::StreamKind;
 use tq_trajectory::{snapshot, FacilitySet, UserSet};
 
@@ -116,6 +113,7 @@ const SAVE: Command = Command {
         Flag { name: "placement", meta: "two-point|segmented|full", default: "two-point", help: "trajectory-to-item mapping (TQ / S-TQ / F-TQ)" },
         Flag { name: "backend", meta: "tq-z|tq-b|bl", default: "tq-z", help: "index backend: TQ(Z), TQ(B) or the BL baseline" },
         Flag { name: "beta", meta: "B", default: "64", help: "TQ-tree bucket size β" },
+        Flag { name: "shards", meta: "N", default: "1", help: "partition users across N engines, one store per shard (tqd detects it); queries scatter–gather, bit-identical to 1" },
     ],
 };
 
@@ -159,33 +157,6 @@ const STREAM: Command = Command {
         Flag { name: "seed", meta: "SEED", default: "1", help: "trace RNG seed" },
         Flag { name: "threads", meta: "N", default: "0", help: "worker threads (0 = one per core)" },
         Flag { name: "verify", meta: "true|false", default: "false", help: "cross-check the final top-k against a fresh build" },
-    ],
-};
-
-const SERVE: Command = Command {
-    name: "serve",
-    summary: "concurrent serving: N reader threads over snapshots + one update writer",
-    positional: "",
-    flags: &[
-        Flag { name: "persist", meta: "DIR", default: "", help: "durable serving: store directory (WAL per batch + final checkpoint)" },
-        Flag { name: "shards", meta: "N", default: "1", help: "partition users across N engines; queries scatter–gather, bit-identical to 1" },
-        Flag { name: "clients", meta: "N", default: "4", help: "concurrent reader (client) threads" },
-        Flag { name: "duration", meta: "SECONDS", default: "5", help: "how long to serve the mixed workload" },
-        Flag { name: "kind", meta: "nyt|nyf|bjg", default: "nyt", help: "taxi trips / check-ins / GPS traces" },
-        Flag { name: "users", meta: "N", default: "20000", help: "initial trajectory count" },
-        Flag { name: "events", meta: "N", default: "20000", help: "arrival/expiry events available to the writer" },
-        Flag { name: "batch", meta: "B", default: "200", help: "events per applied update batch" },
-        Flag { name: "expire", meta: "RATIO", default: "0.5", help: "expiry share of events (0..1)" },
-        Flag { name: "pause", meta: "MILLIS", default: "0", help: "writer pause between update batches" },
-        Flag { name: "routes", meta: "N", default: "128", help: "number of candidate routes" },
-        Flag { name: "stops", meta: "S", default: "16", help: "stops per route" },
-        Flag { name: "k", meta: "K", default: "8", help: "k of the scripted top-k / max-cov queries" },
-        Flag { name: "psi", meta: "METRES", default: "preset", help: "service radius ψ" },
-        Flag { name: "scenario", meta: "transit|points|length", default: "transit", help: "service semantics" },
-        Flag { name: "placement", meta: "two-point|segmented|full", default: "per kind", help: "defaults to the variant that sees all of a kind's points" },
-        Flag { name: "beta", meta: "B", default: "64", help: "TQ-tree bucket size β" },
-        Flag { name: "seed", meta: "SEED", default: "1", help: "trace RNG seed" },
-        Flag { name: "client-threads", meta: "N", default: "0", help: "evaluation threads per client (0 = cores/(clients+1))" },
     ],
 };
 
@@ -239,7 +210,7 @@ const PROMOTE: Command = Command {
     ],
 };
 
-const COMMANDS: [&Command; 15] = [
+const COMMANDS: [&Command; 14] = [
     &GENERATE,
     &IMPORT_TAXI,
     &STATS,
@@ -249,7 +220,6 @@ const COMMANDS: [&Command; 15] = [
     &LOAD,
     &INSPECT,
     &STREAM,
-    &SERVE,
     &QUERY,
     &STATUS,
     &METRICS,
@@ -271,7 +241,6 @@ fn main() {
         "load" => cmd_load(rest),
         "inspect" => cmd_inspect(rest),
         "stream" => cmd_stream(rest),
-        "serve" => cmd_serve(rest),
         "query" => cmd_query(rest),
         "status" => cmd_status(rest),
         "metrics" => cmd_metrics(rest),
@@ -540,28 +509,47 @@ fn cmd_save(raw: Vec<String>) -> CliResult {
     let placement = placement_of(a.get("placement").unwrap_or("two-point"))?;
     let backend = a.get("backend").unwrap_or("tq-z");
     let beta: usize = a.get_or("beta", 64, "integer")?;
+    let shards: usize = a.get_or("shards", 1, "integer")?;
+    if shards == 0 {
+        return Err("--shards must be positive".into());
+    }
     let (users, facilities) = load(path)?;
     let n_users = users.len();
     let n_facilities = facilities.len();
+    // A sharded TQ-tree needs explicit bounds: the users' MBR padded by
+    // 0.1 %, the root an unsharded tree picks for itself, so both accept
+    // the same inserts.
+    let bounds = users
+        .mbr()
+        .map(|r| r.expand((r.width().max(r.height()) * 1e-3).max(1e-9)));
 
     let t = std::time::Instant::now();
     let builder = Engine::builder(ServiceModel::new(scenario, psi))
         .users(users)
         .facilities(facilities)
         .persist_to(store);
-    let engine = backend_of(builder, backend, placement, beta)?.build()?;
+    let builder = backend_of(builder, backend, placement, beta)?;
+    let (epoch, status) = if shards > 1 {
+        let bounds = bounds.ok_or("save --shards needs at least one trajectory")?;
+        let engine = builder.bounds(bounds).shards(shards).build_sharded()?;
+        (engine.epoch(), engine.persistence())
+    } else {
+        let engine = builder.build()?;
+        (engine.epoch(), engine.persistence())
+    };
     println!(
-        "saved epoch {}: {} trajectories, {} facilities ({backend}, {scenario:?}, ψ={psi}) \
-         in {:.3}s",
-        engine.epoch(),
-        n_users,
-        n_facilities,
+        "saved epoch {epoch}: {n_users} trajectories, {n_facilities} facilities \
+         ({backend}, {scenario:?}, ψ={psi}, {shards} shard(s)) in {:.3}s",
         t.elapsed().as_secs_f64()
     );
-    if let Some(status) = engine.persistence() {
+    if let Some(status) = status {
         println!("{status}");
     }
-    println!("reload it with: tq load --store {store}");
+    if shards > 1 {
+        println!("serve it with: tqd --persist {store}");
+    } else {
+        println!("reload it with: tq load --store {store}");
+    }
     Ok(())
 }
 
@@ -916,134 +904,3 @@ fn cmd_promote(raw: Vec<String>) -> CliResult {
     );
     Ok(())
 }
-
-fn cmd_serve(raw: Vec<String>) -> CliResult {
-    let Some(a) = parse(&SERVE, raw)? else { return Ok(()) };
-    let clients: usize = a.get_or("clients", 4, "integer")?;
-    let duration: f64 = a.get_or("duration", 5.0, "number")?;
-    let kind_name = a.get("kind").unwrap_or("nyt");
-    let users_n: usize = a.get_or("users", 20_000, "integer")?;
-    let events_n: usize = a.get_or("events", 20_000, "integer")?;
-    let batch: usize = a.get_or("batch", 200, "integer")?;
-    let expire: f64 = a.get_or("expire", 0.5, "number")?;
-    let pause_ms: u64 = a.get_or("pause", 0, "integer")?;
-    let routes_n: usize = a.get_or("routes", 128, "integer")?;
-    let stops: usize = a.get_or("stops", 16, "integer")?;
-    let k: usize = a.get_or("k", 8, "integer")?;
-    let psi: f64 = a.get_or("psi", tq_datagen::presets::DEFAULT_PSI, "number")?;
-    let scenario = scenario_of(a.get("scenario").unwrap_or("transit"))?;
-    let default_placement = match kind_name {
-        "nyf" => "segmented",
-        "bjg" => "full",
-        _ => "two-point",
-    };
-    let placement = placement_of(a.get("placement").unwrap_or(default_placement))?;
-    let beta: usize = a.get_or("beta", 64, "integer")?;
-    let seed: u64 = a.get_or("seed", 1, "integer")?;
-    let client_threads: usize = a.get_or("client-threads", 0, "integer")?;
-    let shards: usize = a.get_or("shards", 1, "integer")?;
-    if clients == 0 {
-        return Err("--clients must be positive".into());
-    }
-    if shards == 0 {
-        return Err("--shards must be positive".into());
-    }
-    if !duration.is_finite() || duration < 0.0 {
-        return Err("--duration must be a non-negative number of seconds".into());
-    }
-    if batch == 0 {
-        return Err("--batch must be positive".into());
-    }
-    if !(0.0..=1.0).contains(&expire) {
-        return Err("--expire must be between 0 and 1".into());
-    }
-
-    let (city, kind) = match kind_name {
-        "nyt" => (tq_datagen::presets::ny_city(), StreamKind::Taxi),
-        "nyf" => (tq_datagen::presets::ny_city(), StreamKind::Checkins),
-        "bjg" => (tq_datagen::presets::bj_city(), StreamKind::Gps),
-        other => return Err(format!("unknown kind {other:?} (nyt|nyf|bjg)").into()),
-    };
-    let trace = tq_datagen::stream_scenario(&city, kind, users_n, events_n, expire, seed);
-    let facilities = tq_datagen::bus_routes(
-        &city,
-        routes_n,
-        stops,
-        tq_datagen::presets::ROUTE_LENGTH,
-        seed ^ 0xB05,
-    );
-    let model = ServiceModel::new(scenario, psi);
-    println!(
-        "serve: {} initial {kind_name} trajectories, {} routes × {stops} stops, \
-         {clients} clients for {duration}s, update batches of {batch} \
-         ({} events available)",
-        trace.initial.len(),
-        facilities.len(),
-        trace.events.len(),
-    );
-    let update_batches = trace.update_batches(batch);
-    let t = std::time::Instant::now();
-    let mut builder = Engine::builder(model)
-        .users(trace.initial)
-        .facilities(facilities)
-        .tree_config(TqTreeConfig::z_order(placement).with_beta(beta))
-        .bounds(trace.bounds);
-    let persist = a.get("persist").map(str::to_string);
-    if let Some(dir) = &persist {
-        builder = builder.persist_with(dir, StoreConfig::default());
-    }
-
-    let workload = Workload {
-        queries: vec![Query::top_k(k), Query::max_cov(k)],
-        update_batches,
-    };
-    let config = ServeConfig {
-        clients,
-        duration: std::time::Duration::from_secs_f64(duration),
-        threads_per_client: client_threads,
-        update_pause: std::time::Duration::from_millis(pause_ms),
-        final_checkpoint: persist.is_some(),
-    };
-    let (report, live, status) = if shards > 1 {
-        let mut engine = builder.shards(shards).build_sharded()?;
-        engine.warm();
-        println!(
-            "build:  {shards} shards — index + initial evaluation in {:.3}s (epoch {})",
-            t.elapsed().as_secs_f64(),
-            engine.epoch()
-        );
-        let report = serve(&mut engine, &workload, &config)?;
-        (report, engine.live_users(), engine.persistence())
-    } else {
-        let mut engine = builder.build()?;
-        engine.warm();
-        println!(
-            "build:  index + initial evaluation in {:.3}s (epoch {})",
-            t.elapsed().as_secs_f64(),
-            engine.epoch()
-        );
-        let report = serve(&mut engine, &workload, &config)?;
-        (report, engine.live_users(), engine.persistence())
-    };
-    println!("{}", report.summary());
-    if let Some(status) = status {
-        let hint = if shards > 1 { "tq inspect" } else { "tq load --store" };
-        println!(
-            "durable: {status} — run checkpointed; `{hint} {}` cold-starts it",
-            status.dir.display()
-        );
-    }
-    if report.epoch_regressions() > 0 {
-        return Err(format!(
-            "{} epoch regressions observed — snapshot publication is broken",
-            report.epoch_regressions()
-        )
-        .into());
-    }
-    if let Some(sample) = report.sample_answer() {
-        println!("explain: {} (sample answer, client 0)", sample.explain);
-    }
-    println!("{live} live trajectories at the final epoch");
-    Ok(())
-}
-

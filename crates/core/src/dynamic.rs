@@ -12,7 +12,7 @@
 //! batches and publishes each batch as a
 //! new immutable [`Snapshot`](crate::engine::Snapshot) epoch, so static,
 //! streaming and concurrent-serving callers share one type (see
-//! [`crate::serve`] for the multi-reader side).
+//! [`Reader`](crate::engine::Reader) for the multi-reader side).
 //!
 //! # The invalidation rule
 //!

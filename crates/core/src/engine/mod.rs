@@ -26,7 +26,7 @@
 //!   they hold, and old epochs drain via `Arc` refcounts.
 //! * **[`Reader`]** — the cloneable, `Send + Sync` handle serving threads
 //!   hold; [`Reader::snapshot`] yields the latest published epoch. The
-//!   [`serve`](crate::serve) module drives a whole worker pool off this.
+//!   `tq-net` server answers every connection's queries off one.
 //!
 //! # Request flow
 //!

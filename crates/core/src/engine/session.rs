@@ -137,8 +137,7 @@ impl Query {
     /// Without this, the process-wide setting
     /// ([`crate::parallel::set_threads`]) applies — scoped per querying
     /// thread, so concurrent sessions with different budgets compose (see
-    /// [`crate::parallel::session_thread_budget`]). Results are identical
-    /// at any thread count.
+    /// [`crate::parallel`]). Results are identical at any thread count.
     pub fn threads(mut self, threads: usize) -> Query {
         self.threads = Some(threads);
         self
@@ -243,8 +242,8 @@ pub struct Explain {
     pub threads: usize,
     /// Time the request waited between arrival and execution start. Zero
     /// for direct [`Engine::run`](super::Engine::run) /
-    /// [`Snapshot::run`](super::Snapshot::run) calls; the
-    /// [`serve`](crate::serve) driver records each request's queue delay
+    /// [`Snapshot::run`](super::Snapshot::run) calls;
+    /// [`Reader::query`](super::Reader::query) records its snapshot grab
     /// here.
     pub queued: Duration,
     /// Wall-clock execution time (excluding [`Explain::queued`]).

@@ -103,6 +103,34 @@ impl EvalOutcome {
     }
 }
 
+/// Every list evaluation on the calling thread adds its counters here, so a
+/// test can hold what a query reports against the work it did.
+#[cfg(test)]
+pub(crate) mod tally {
+    use super::EvalStats;
+    use std::cell::Cell;
+
+    thread_local! {
+        static DONE: Cell<EvalStats> = Cell::new(EvalStats::default());
+    }
+
+    /// Returns the tally so far and resets it.
+    pub(crate) fn take() -> EvalStats {
+        DONE.with(Cell::take)
+    }
+
+    pub(super) fn record(before: &EvalStats, after: &EvalStats) {
+        DONE.with(|done| {
+            let mut d = done.get();
+            d.nodes_visited += after.nodes_visited - before.nodes_visited;
+            d.items_tested += after.items_tested - before.items_tested;
+            d.items_pruned += after.items_pruned - before.items_pruned;
+            d.distance_checks += after.distance_checks - before.distance_checks;
+            done.set(d);
+        });
+    }
+}
+
 /// Shared, immutable context of one evaluation run.
 pub(crate) struct EvalCtx<'a> {
     pub tree: &'a TqTree,
@@ -233,6 +261,8 @@ impl EvalState {
         if node.list.is_empty() || stops.is_empty() {
             return;
         }
+        #[cfg(test)]
+        let before = self.stats;
         self.stats.nodes_visited += 1;
         let psi = ctx.model.psi;
         let comp_embr = Rect::bounding(stops.iter())
@@ -264,6 +294,8 @@ impl EvalState {
                 }
             }
         }
+        #[cfg(test)]
+        tally::record(&before, &self.stats);
     }
 
     /// Linear evaluation of a list: O(1) component-EMBR rectangle reject,

@@ -40,8 +40,8 @@
 //! with zero locks (any number of reader threads), while the single-writer
 //! [`engine::Engine`] control plane applies update batches copy-on-write
 //! and publishes each new epoch atomically to every [`engine::Reader`].
-//! The **[`serve`]** module drives a whole sharded worker pool off that
-//! split — N client threads of mixed queries against a live update stream.
+//! The single writer is shared through [`writer::WriterHub`]; the `tq-net`
+//! server serves both planes over TCP.
 //!
 //! Engines are durable via the **[`persist`]** module (built on the
 //! `tq-store` crate): [`engine::EngineBuilder::persist_to`] snapshots the
@@ -62,8 +62,8 @@
 //! every shard count, with one `tq-store` per shard recovered in parallel
 //! by [`engine::Engine::open_sharded`]. Readers of either engine are the
 //! same [`engine::Reader`]; the write side is abstracted by the
-//! [`writer::ControlPlane`] trait, so [`serve`] and the `tq-net` server
-//! run either engine through one code path.
+//! [`writer::ControlPlane`] trait, so [`writer::WriterHub`] and the
+//! `tq-net` server run either engine through one code path.
 
 #![warn(missing_docs)]
 
@@ -75,7 +75,6 @@ pub mod fasthash;
 pub mod maxcov;
 pub mod parallel;
 pub mod persist;
-pub mod serve;
 pub mod service;
 pub mod sharding;
 pub mod topk;
@@ -93,11 +92,8 @@ pub use eval::{
     brute_force_masks, brute_force_value, evaluate_masks, evaluate_service,
     EvalOutcome, EvalStats, FacilityComponent,
 };
-pub use parallel::{
-    current_threads, par_evaluate_candidates, session_thread_budget, set_threads,
-};
+pub use parallel::{current_threads, par_evaluate_candidates, set_threads};
 pub use persist::{PersistStatus, StoreConfig, SyncPolicy};
-pub use serve::{ClientStats, ServeConfig, ServeReport, Workload};
 pub use maxcov::{Column, CovOutcome, Coverage, GeneticConfig, ServedTable};
 pub use service::{MaskSizeMismatch, MaskView, PointMask, Scenario, ServiceBounds, ServiceModel};
 pub use sharding::{Partitioner, ShardSet, ShardedEngine};

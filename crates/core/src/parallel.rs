@@ -33,15 +33,12 @@
 //!
 //! The scoped override ([`with_threads`]) is **per calling thread**, not
 //! process-global: each serving session can run its queries under its own
-//! budget and the fan-outs compose instead of multiplying. The rule of
-//! thumb for `S` concurrent sessions on `C` cores is a budget of
-//! `max(1, C / S)` threads per query — exactly what
-//! [`session_thread_budget`] computes and what the [`crate::serve`] worker
-//! pool installs per client shard, so `S` clients each fanning a table
-//! build never oversubscribe the machine to `S × C` threads. A budget of
-//! 1 makes every evaluation inline on the session's own thread (zero
-//! spawn overhead), which is the right call once sessions outnumber
-//! cores.
+//! budget ([`crate::engine::Query::threads`]) and the fan-outs compose
+//! instead of multiplying. For `S` concurrent sessions on `C` cores a
+//! budget of `max(1, C / S)` threads per query keeps the machine from
+//! oversubscribing to `S × C` threads. A budget of 1 makes every
+//! evaluation inline on the session's own thread (zero spawn overhead),
+//! which is the right call once sessions outnumber cores.
 
 use crate::eval::{evaluate_masks, evaluate_service, EvalOutcome};
 use crate::service::ServiceModel;
@@ -119,19 +116,6 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         let _ = threads;
         f()
     }
-}
-
-/// The per-session evaluation thread budget for `sessions` concurrent
-/// query sessions: `max(1, cores / sessions)`, so all sessions' fan-outs
-/// together occupy roughly the machine instead of oversubscribing it
-/// `sessions`-fold. Install it around a session's queries with
-/// [`with_threads`] (as the [`crate::serve`] worker pool does per client
-/// shard), or pass it to [`crate::engine::Query::threads`] per query.
-pub fn session_thread_budget(sessions: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    (cores / sessions.max(1)).max(1)
 }
 
 /// Evaluates the given candidate facilities against the index, fanning the

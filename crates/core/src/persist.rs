@@ -19,8 +19,9 @@
 //!
 //! The snapshot also carries the **warmed full-facility `ServedTable`**
 //! when the engine has one — re-evaluating it is the dominant cost of a
-//! *serving* cold start, so `tq serve --persist` checkpoints it and the
-//! next `Engine::open` answers its first query from it. It is the only
+//! *serving* cold start, so a warmed engine's checkpoints carry it (`tqd`
+//! warms at start) and the next `Engine::open` answers its first query
+//! from it. It is the only
 //! table an engine keeps; every answer is bit-identical either way (the
 //! table is a deterministic function of the rest of the state).
 //!

@@ -30,7 +30,7 @@
 //! sits behind [`Backend::Sharded`]. The [`ShardedEngine`] is a second
 //! single-writer control plane: it publishes ordinary [`Snapshot`]s
 //! (global users, the merged full table, that backend) through ordinary
-//! [`Reader`] handles, so the read plane, the serve loop and the network
+//! [`Reader`] handles, so the read plane, the writer hub and the network
 //! server are the single engine's own. What stays sharding-specific is the
 //! write side: update batches are validated globally, split into per-shard
 //! sub-batches by the [`Partitioner`], and applied to the shards **in

@@ -29,7 +29,8 @@ use tq_trajectory::{Facility, FacilityId, FacilitySet, UserSet};
 pub struct TopKOutcome {
     /// The top facilities with their exact service values, best first.
     pub ranked: Vec<(FacilityId, f64)>,
-    /// Aggregated evaluation counters across all explored states.
+    /// Evaluation counters summed over every state the search touched,
+    /// ranked or not.
     pub stats: EvalStats,
     /// Number of state relaxations (Algorithm 4 invocations).
     pub relaxations: usize,
@@ -147,6 +148,11 @@ pub fn top_k_facilities(
         });
     }
 
+    // States still on the heap did work too. A ranked state's `eval` was
+    // taken above, so it adds zero here.
+    for state in &states {
+        stats.add(&state.eval.stats);
+    }
     TopKOutcome {
         ranked,
         stats,
@@ -320,6 +326,31 @@ mod tests {
         vals.sort_by(|a, b| b.total_cmp(a));
         vals.truncate(k);
         vals
+    }
+
+    #[test]
+    fn reported_stats_are_the_work_done() {
+        let users = random_users(400, 21);
+        let facilities = random_facilities(24, 8, 22);
+        for storage in [Storage::Basic, Storage::ZOrder] {
+            let cfg = TqTreeConfig {
+                beta: 8,
+                storage,
+                placement: Placement::TwoPoint,
+                max_depth: 10,
+            };
+            let tree = TqTree::build(&users, cfg);
+            for scenario in Scenario::ALL {
+                let model = ServiceModel::new(scenario, 6.0);
+                for k in [1, 8] {
+                    crate::eval::tally::take();
+                    let out = top_k_facilities(&tree, &users, &model, &facilities, k);
+                    let done = crate::eval::tally::take();
+                    assert!(done.nodes_visited > 0, "{storage:?} {scenario:?} k={k}");
+                    assert_eq!(out.stats, done, "{storage:?} {scenario:?} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

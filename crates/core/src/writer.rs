@@ -4,9 +4,9 @@
 //!
 //! The engine's concurrency model is many lock-free readers (clone a
 //! [`Reader`] before spawning them) and **exactly
-//! one** writer. In-process drivers like [`crate::serve`] keep the writer
-//! on the calling thread; a daemon with many client connections needs the
-//! opposite shape — any connection may carry an update batch, but all of
+//! one** writer. An in-process program can keep the writer on the calling
+//! thread; a daemon with many client connections needs the opposite
+//! shape — any connection may carry an update batch, but all of
 //! them must land on one thread. [`WriterHub::spawn`] is that shape:
 //!
 //! ```

@@ -336,8 +336,8 @@ impl StreamScenario {
 
     /// The event trace chunked into ready-to-apply engine update batches
     /// of `batch` events each (the last batch may be shorter) — the shape
-    /// [`Engine::apply`](tq_core::engine::Engine::apply) and
-    /// [`serve`](tq_core::serve) workloads consume.
+    /// [`Engine::apply`](tq_core::engine::Engine::apply) and a `tq-net`
+    /// client's `apply` consume.
     ///
     /// # Panics
     /// Panics when `batch == 0`.

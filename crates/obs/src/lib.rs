@@ -26,8 +26,8 @@
 //! rendering.
 //!
 //! A global [`set_enabled`] switch exists for A/B overhead measurement
-//! (the qps bench gates instrumentation at <2%); production builds leave
-//! it on.
+//! (the `obs_overhead` bench gates instrumentation at <2%); production
+//! builds leave it on.
 
 #![warn(missing_docs)]
 
@@ -42,10 +42,10 @@ use std::time::{Duration, Instant};
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Globally enables or disables recording. Exists so the qps bench can
-/// measure the instrumented stack against a true uninstrumented
-/// baseline; everything defaults to enabled. Reads ([`snapshot`]) are
-/// unaffected.
+/// Globally enables or disables recording. Exists so the `obs_overhead`
+/// bench can measure the instrumented stack against a true
+/// uninstrumented baseline; everything defaults to enabled. Reads
+/// ([`snapshot`]) are unaffected.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
 }

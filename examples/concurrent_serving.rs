@@ -6,8 +6,9 @@
 //! The engine's two-plane split serves both without either waiting: the
 //! frontends read lock-free from published [`Snapshot`]s (each answer
 //! stamped with its epoch), and the writer publishes a new epoch per
-//! applied batch. This example drives the [`serve`] worker pool directly
-//! and then pulls the same machinery apart by hand.
+//! applied batch. Here four dashboard threads each hold a cloned
+//! [`Reader`] while the calling thread applies the update stream; `tqd`
+//! serves the same two planes over TCP.
 //!
 //! ```text
 //! cargo run --release --example concurrent_serving
@@ -15,9 +16,9 @@
 //! ```
 //!
 //! [`Snapshot`]: tq::core::engine::Snapshot
-//! [`serve`]: tq::core::serve::serve
+//! [`Reader`]: tq::core::engine::Reader
 
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
 use tq::prelude::*;
 
 /// Scales a workload size by the `TQ_EXAMPLE_SCALE` env var (CI runs the
@@ -57,28 +58,54 @@ fn main() -> Result<(), EngineError> {
         engine.epoch()
     );
 
-    // --- the packaged loop: 4 dashboard clients + the update stream -----
-    let workload = Workload {
-        queries: vec![Query::top_k(8), Query::max_cov(4)],
-        update_batches: trace.update_batches(scaled(400)),
-    };
-    let report = serve(
-        &mut engine,
-        &workload,
-        &ServeConfig {
-            clients: 4,
-            duration: Duration::from_millis(750),
-            ..ServeConfig::default()
-        },
-    )?;
-    println!("\n{}\n", report.summary());
-    assert_eq!(report.epoch_regressions(), 0, "epochs are monotone");
-    if let Some(sample) = report.sample_answer() {
-        println!("a sampled answer's explain: {}", sample.explain);
-    }
-
-    // --- the same machinery by hand: readers keep old epochs alive ------
+    // --- 4 dashboard readers + the update stream on this thread ---------
+    let script = [Query::top_k(8), Query::max_cov(4)];
+    let batches = trace.update_batches(scaled(400));
     let reader = engine.reader();
+    let done = AtomicBool::new(false);
+    let clients: Vec<(u64, u64, u64)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4)
+            .map(|client| {
+                let (reader, script, done) = (reader.clone(), &script, &done);
+                s.spawn(move || -> Result<(u64, u64, u64), EngineError> {
+                    let (mut queries, mut first, mut last) = (0u64, None, 0u64);
+                    // Every reader answers at least once, and keeps going
+                    // until the writer has published its last batch.
+                    while queries == 0 || !done.load(Ordering::Acquire) {
+                        let snapshot = reader.snapshot(); // the latest epoch, O(1)
+                        let query = script[(client + queries as usize) % script.len()].clone();
+                        let answer = snapshot.run(query)?;
+                        let epoch = answer.explain.snapshot_epoch;
+                        assert!(epoch >= last, "epochs are monotone: {epoch} after {last}");
+                        first.get_or_insert(epoch);
+                        last = epoch;
+                        queries += 1;
+                    }
+                    Ok((queries, first.unwrap_or(last), last))
+                })
+            })
+            .collect();
+        // Control plane, concurrently: each batch publishes a new epoch.
+        let applied = batches
+            .iter()
+            .try_for_each(|batch| engine.apply(batch).map(|_| ()));
+        done.store(true, Ordering::Release);
+        let answered = workers
+            .into_iter()
+            .map(|w| w.join().expect("reader thread"));
+        applied.and_then(|()| answered.collect())
+    })?;
+    println!(
+        "\n{} update batches applied while 4 readers answered {} queries:",
+        batches.len(),
+        clients.iter().map(|c| c.0).sum::<u64>()
+    );
+    for (client, (queries, first, last)) in clients.iter().enumerate() {
+        println!("  reader {client}: {queries:>6} queries, epochs {first}..={last}");
+    }
+    assert!(clients.iter().all(|&(_, _, last)| last <= engine.epoch()));
+
+    // --- readers keep old epochs alive ---------------------------------
     let held = reader.snapshot(); // pin the current epoch
     let before = held.run(Query::top_k(1))?;
     let newcomers = taxi_trips(&city, scaled(2_000), 19);

@@ -127,7 +127,6 @@ pub mod prelude {
     pub use tq_core::sharding::{Partitioner, ShardSet, ShardedEngine};
     pub use tq_core::writer::{BatchAck, ControlPlane, WriterError, WriterHandle, WriterHub};
     pub use tq_net::{Client, ConnectConfig, NetError, Server, ServerConfig, ServerHandle};
-    pub use tq_core::serve::{serve, ClientStats, ServeConfig, ServeReport, Workload};
     pub use tq_core::maxcov::{exact, genetic, greedy, two_step_greedy, GeneticConfig, ServedTable};
     pub use tq_core::{
         evaluate_masks, evaluate_service, top_k_facilities, Placement, PointMask, Scenario,

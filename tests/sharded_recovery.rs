@@ -398,6 +398,44 @@ fn lossy_recovery_rebases_and_the_next_open_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
+// A warmed store reopens from its persisted tables
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_warmed_sharded_store_reopens_serving_its_persisted_tables() {
+    let model = ServiceModel::new(Scenario::Transit, 200.0);
+    let (trace, routes) = workload(61);
+    let scratch = Scratch::new("warmed");
+    let dir = scratch.join("store");
+    let mut writer = tree_builder(model, &trace, &routes)
+        .shards(4)
+        .persist_to(&dir)
+        .build_sharded()
+        .unwrap();
+    writer.warm();
+    for batch in trace.update_batches(8) {
+        writer.apply(&batch).unwrap();
+    }
+    writer.checkpoint().unwrap();
+    let want = sharded_fingerprint(&mut writer);
+    drop(writer);
+
+    // Every shard recovers its table and the front re-merges them, so the
+    // first answer is a hit, and every answer keeps its bits.
+    let mut reopened = Engine::open_sharded(&dir).unwrap();
+    assert!(
+        reopened.full_table().is_some(),
+        "merged table lost over reopen"
+    );
+    let first = reopened.run(Query::top_k(3)).unwrap();
+    assert!(
+        first.explain.cache.is_hit(),
+        "first query after reopen missed"
+    );
+    assert_eq!(sharded_fingerprint(&mut reopened), want);
+}
+
+// ---------------------------------------------------------------------------
 // Contract edges
 // ---------------------------------------------------------------------------
 
