@@ -1314,6 +1314,39 @@ mod tests {
     }
 
     #[test]
+    fn reader_queries_answer_and_fail_on_serving_threads() {
+        let mut e = engine();
+        e.warm();
+        let reader = e.reader();
+        let epoch = e.epoch();
+        let answers: Vec<Answer> = std::thread::scope(|s| {
+            let serving: Vec<_> = (0..2)
+                .map(|_| {
+                    let reader = reader.clone();
+                    s.spawn(move || {
+                        // A bad query is a typed error on the serving
+                        // thread, not a panic, and the next one answers.
+                        assert_eq!(
+                            reader.query(Query::top_k(99)).unwrap_err(),
+                            EngineError::KExceedsCandidates { k: 99, candidates: 3 }
+                        );
+                        reader.query(Query::top_k(2)).unwrap()
+                    })
+                })
+                .collect();
+            serving.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let own = e.run(Query::top_k(2)).unwrap();
+        for answer in &answers {
+            assert_eq!(answer.explain.snapshot_epoch, epoch);
+            for (a, b) in own.ranked().iter().zip(answer.ranked()) {
+                assert_eq!(a.0, b.0);
+                assert_eq!(a.1.to_bits(), b.1.to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn clone_is_an_independent_writer() {
         // Unwarmed, so the full-candidate cover below builds — and
         // publishes — the full table.

@@ -179,6 +179,42 @@ pub struct PlaneInfo {
 /// likes (typically one request) while the writer publishes newer epochs
 /// behind it. Successive `snapshot()` calls observe strictly monotone
 /// epochs.
+///
+/// ```
+/// use tq_core::dynamic::Update;
+/// use tq_core::engine::{Engine, Query};
+/// use tq_core::service::{Scenario, ServiceModel};
+/// use tq_geometry::{Point, Rect};
+/// use tq_trajectory::{Facility, FacilitySet, Trajectory, UserSet};
+///
+/// let p = |x: f64, y: f64| Point::new(x, y);
+/// let mut engine = Engine::builder(ServiceModel::new(Scenario::Transit, 2.0))
+///     .users(UserSet::from_vec(vec![
+///         Trajectory::two_point(p(0.0, 0.0), p(10.0, 0.0)),
+///     ]))
+///     .facilities(FacilitySet::from_vec(vec![
+///         Facility::new(vec![p(0.0, 1.0), p(10.0, 1.0)]),
+///         Facility::new(vec![p(50.0, 51.0), p(60.0, 51.0)]),
+///     ]))
+///     .bounds(Rect::new(p(-100.0, -100.0), p(100.0, 100.0)))
+///     .build()
+///     .unwrap();
+///
+/// let reader = engine.reader();
+/// let held = reader.snapshot(); // pin the current epoch
+/// std::thread::scope(|s| {
+///     // A serving thread answers while this thread writes.
+///     let serving = reader.clone();
+///     let answer = s.spawn(move || serving.query(Query::top_k(1)).unwrap());
+///     engine
+///         .apply(&[Update::Insert(Trajectory::two_point(p(50.0, 50.0), p(60.0, 50.0)))])
+///         .unwrap();
+///     assert!(answer.join().unwrap().explain.snapshot_epoch <= engine.epoch());
+/// });
+/// assert!(reader.epoch() > held.epoch());
+/// assert_eq!(held.live_users(), 1); // a held epoch never changes
+/// assert_eq!(reader.snapshot().live_users(), 2);
+/// ```
 #[derive(Debug, Clone)]
 pub struct Reader {
     pub(crate) slot: Arc<SnapshotSlot>,

@@ -574,4 +574,61 @@ mod tests {
         assert!(handle.apply(vec![]).is_err(), "handle outlived the hub");
         let _ = engine.run(Query::top_k(1)).unwrap();
     }
+
+    #[test]
+    fn a_static_backend_refuses_updates_through_the_funnel() {
+        let p = |x: f64, y: f64| Point::new(x, y);
+        let engine = Engine::builder(ServiceModel::new(Scenario::Transit, 2.0))
+            .users(UserSet::from_vec(vec![Trajectory::two_point(p(1.0, 1.0), p(2.0, 2.0))]))
+            .facilities(FacilitySet::from_vec(vec![Facility::new(vec![p(1.0, 1.5)])]))
+            .baseline()
+            .build()
+            .unwrap();
+        let e0 = engine.epoch();
+        let hub = WriterHub::spawn(engine);
+        let err = hub.handle().apply(vec![Update::Remove(0)]).unwrap_err();
+        assert!(matches!(err, WriterError::Engine(EngineError::UpdatesUnsupported)));
+        let engine = hub.stop(false).unwrap();
+        assert_eq!(engine.epoch(), e0);
+        assert_eq!(engine.live_users(), 1);
+    }
+
+    #[test]
+    fn a_sharded_engine_behind_the_funnel_answers_like_one_engine() {
+        let p = |x: f64, y: f64| Point::new(x, y);
+        let builder = Engine::builder(ServiceModel::new(Scenario::Transit, 2.0))
+            .users(UserSet::from_vec(vec![
+                Trajectory::two_point(p(1.0, 1.0), p(9.0, 1.0)),
+                Trajectory::two_point(p(1.0, 5.0), p(9.0, 5.0)),
+                Trajectory::two_point(p(2.0, 1.0), p(8.0, 1.0)),
+            ]))
+            .facilities(FacilitySet::from_vec(vec![
+                Facility::new(vec![p(1.0, 2.0), p(9.0, 2.0)]),
+                Facility::new(vec![p(1.0, 6.0), p(9.0, 6.0)]),
+            ]))
+            .bounds(Rect::new(p(0.0, 0.0), p(10.0, 10.0)));
+        let mut single = builder.clone().build().unwrap();
+        let sharded = builder.shards(2).build_sharded().unwrap();
+        let reader = sharded.reader();
+        let e0 = sharded.epoch();
+        let hub = WriterHub::spawn(sharded);
+        let batches = [
+            vec![Update::Insert(Trajectory::two_point(p(2.0, 5.0), p(8.0, 5.0)))],
+            vec![Update::Remove(0)],
+        ];
+        for (i, batch) in batches.iter().enumerate() {
+            let ack = hub.handle().apply(batch.clone()).unwrap();
+            assert_eq!(ack.outcome.inserted, single.apply(batch).unwrap().inserted);
+            assert_eq!(ack.epoch, e0 + 1 + i as u64);
+            assert_eq!(reader.epoch(), ack.epoch);
+        }
+        // The funnel's read plane answers with the single engine's bits.
+        let bits = |a: &crate::engine::Answer| -> Vec<(u32, u64)> {
+            a.ranked().iter().map(|&(id, v)| (id, v.to_bits())).collect()
+        };
+        let got = reader.query(Query::top_k(2)).unwrap();
+        assert_eq!(bits(&got), bits(&single.run(Query::top_k(2)).unwrap()));
+        let sharded = hub.stop(false).unwrap();
+        assert_eq!(sharded.live_users(), single.live_users());
+    }
 }

@@ -1,8 +1,8 @@
 //! Concurrency stress tests for the two-plane engine: N reader threads
 //! interleaved with single-writer update batches must always see answers
 //! **bit-identical to some serial snapshot history** — no torn reads, no
-//! stale-mixed state, strictly monotone epochs per reader — on both the
-//! TqTree and the Baseline backends.
+//! stale-mixed state, strictly monotone epochs per reader — on the TqTree
+//! and Baseline backends, and on a sharded engine.
 //!
 //! The protocol: the writer publishes epochs (update batches on the
 //! TQ-tree backend; the warm publication on the static baseline) and records,
@@ -79,16 +79,16 @@ fn routes(n: usize, seed: u64) -> FacilitySet {
 
 /// Runs `writer` (which should publish epochs and record serial
 /// fingerprints) while `READERS` threads log `(epoch, fingerprint)`
-/// observations off the engine's reader handle, then checks every
-/// observation against the serial history and that the readers saw the
-/// writer publish (at least two distinct epochs).
-fn race_readers_against(
-    engine: &mut Engine,
-    writer: impl FnOnce(&mut Engine, &mut HashMap<u64, Vec<u64>>),
+/// observations off `reader` — the handle of the control plane `engine`
+/// — then checks every observation against the serial history and that
+/// the readers saw the writer publish (at least two distinct epochs).
+fn race_readers_against<E>(
+    engine: &mut E,
+    reader: Reader,
+    writer: impl FnOnce(&mut E, &mut HashMap<u64, Vec<u64>>),
 ) {
-    let reader = engine.reader();
     let mut serial: HashMap<u64, Vec<u64>> = HashMap::new();
-    serial.insert(engine.epoch(), fingerprint(&engine.snapshot()));
+    serial.insert(reader.epoch(), fingerprint(&reader.snapshot()));
 
     let stop = AtomicBool::new(false);
     let started = AtomicUsize::new(0);
@@ -179,7 +179,8 @@ fn tqtree_readers_match_serial_history_under_update_batches() {
         .unwrap();
     engine.warm();
 
-    race_readers_against(&mut engine, |engine, serial| {
+    let reader = engine.reader();
+    race_readers_against(&mut engine, reader, |engine, serial| {
         for batch in trace.update_batches(30) {
             engine.apply(&batch).unwrap();
 
@@ -218,7 +219,8 @@ fn baseline_readers_match_serial_history_across_the_warm_publication() {
         .build()
         .unwrap();
 
-    race_readers_against(&mut engine, |engine, serial| {
+    let reader = engine.reader();
+    race_readers_against(&mut engine, reader, |engine, serial| {
         // Subset covers on both sides of `warm`: built and discarded
         // before it, projected after it, publishing nothing either way.
         // Data never changes, so both epochs' serial fingerprints and both
@@ -255,6 +257,47 @@ fn baseline_readers_match_serial_history_across_the_warm_publication() {
             engine.apply(&[Update::Remove(0)]).unwrap_err(),
             EngineError::UpdatesUnsupported
         );
+    });
+}
+
+#[test]
+fn sharded_readers_match_a_single_engine_under_update_batches() {
+    // The sharded engine publishes the same `Snapshot` type behind the
+    // same `Reader`; its scatter–gather must be as tear-free as one
+    // engine's, and every epoch it publishes must carry the single
+    // engine's bits for the same stream.
+    let city = CityModel::synthetic(5, 6, 1_000.0);
+    let trace = stream_scenario(&city, StreamKind::Taxi, 240, 120, 0.5, 9);
+    let builder = Engine::builder(ServiceModel::new(Scenario::Transit, 40.0))
+        .users(trace.initial.clone())
+        .facilities(routes(12, 6))
+        .tree_config(TqTreeConfig::default().with_beta(8))
+        .bounds(trace.bounds);
+    let mut single = builder.clone().build().unwrap();
+    let mut sharded = builder.shards(2).build_sharded().unwrap();
+    single.warm();
+    sharded.warm();
+    assert_eq!(
+        fingerprint(&sharded.snapshot()),
+        fingerprint(&single.snapshot())
+    );
+
+    let reader = sharded.reader();
+    race_readers_against(&mut sharded, reader, |sharded, serial| {
+        for batch in trace.update_batches(30) {
+            let got = sharded.apply(&batch).unwrap();
+            let want = single.apply(&batch).unwrap();
+            assert_eq!(got.inserted, want.inserted, "global id assignment");
+            let snap = sharded.snapshot();
+            let bits = fingerprint(&snap);
+            assert_eq!(
+                bits,
+                fingerprint(&single.snapshot()),
+                "sharded epoch {} diverged from the single engine",
+                snap.epoch()
+            );
+            serial.insert(snap.epoch(), bits);
+        }
     });
 }
 
