@@ -665,8 +665,8 @@ fn cmd_stream(raw: Vec<String>) -> CliResult {
         builder = builder.persist_to(dir);
     }
     let mut engine = builder.build()?;
-    // Seed the served-table memo so every batch maintains it incrementally
-    // instead of the final query paying one full evaluation.
+    // Install the full served table so every batch patches it
+    // incrementally instead of the final query paying one full evaluation.
     engine.warm();
     println!("build:  index + initial evaluation in {:.3}s", t.elapsed().as_secs_f64());
 

@@ -1,13 +1,13 @@
-//! The single-writer funnel: own an [`Engine`] on a dedicated thread and
+//! The single-writer funnel: share one [`Engine`] behind one lock and
 //! expose a cloneable, thread-safe handle that serializes update batches
-//! and checkpoints through a channel.
+//! and checkpoints through it.
 //!
 //! The engine's concurrency model is many lock-free readers (clone a
 //! [`Reader`] before spawning them) and **exactly
 //! one** writer. An in-process program can keep the writer on the calling
 //! thread; a daemon with many client connections needs the opposite
-//! shape — any connection may carry an update batch, but all of
-//! them must land on one thread. [`WriterHub::spawn`] is that shape:
+//! shape — any connection may carry an update batch, but only one of
+//! them may write at a time. [`WriterHub::spawn`] is that shape:
 //!
 //! ```
 //! use tq_core::engine::{Engine, Query};
@@ -30,7 +30,7 @@
 //!     .unwrap();
 //!
 //! let reader = engine.reader();          // lock-free read plane, any thread
-//! let hub = WriterHub::spawn(engine);    // engine moves to the writer thread
+//! let hub = WriterHub::spawn(engine);    // engine moves behind the funnel's lock
 //! let handle = hub.handle();             // Clone one per connection thread
 //!
 //! let ack = handle
@@ -45,25 +45,28 @@
 //! ```
 //!
 //! Readers are unaffected while a batch applies — they keep answering from
-//! the snapshot the writer last published. Requests block the *calling*
-//! thread until the writer acknowledges; batches from different handles
-//! are applied in channel order, and an acknowledged batch has already
-//! passed through the engine's WAL-before-publish path when the engine is
-//! durable.
+//! the snapshot the writer last published. A request runs on the
+//! *calling* thread while it holds the funnel's lock: batches from
+//! different handles apply in lock order, one handle's batches in call
+//! order (each call blocks until its ack), and an acknowledged batch has
+//! already passed through the engine's WAL-before-publish path when the
+//! engine is durable.
 
 use crate::dynamic::{BatchOutcome, Update};
 use crate::engine::{Engine, EngineError, Explain, Reader};
 use crate::persist::PersistStatus;
 use crate::sharding::ShardedEngine;
+use std::any::Any;
+use std::marker::PhantomData;
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError, Sender, SyncSender};
-use std::sync::OnceLock;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Registry handles for the writer funnel. The batch histogram's tail
-/// *is* the publish-stall story: a batch applies copy-on-write on the
-/// writer thread and publishes at the end, so its wall time is exactly
+/// *is* the publish-stall story: a batch applies copy-on-write under the
+/// funnel's lock and publishes at the end, so its wall time is exactly
 /// how long the funnel was busy (readers are never blocked either way).
 struct WriterMetrics {
     queue_depth: &'static tq_obs::Gauge,
@@ -111,8 +114,9 @@ fn note_apply(updates: usize, queued: Duration, wall: Duration, epoch: Option<u6
 /// publication, and explicit checkpoints. Implemented by [`Engine`] and
 /// by the sharded front end ([`ShardedEngine`]), so one daemon codebase
 /// serves both (`tqd --shards N` funnels batches through the exact same
-/// hub).
-pub trait ControlPlane: Send + 'static {
+/// hub). `Any` lets [`WriterHub::stop`] hand back the concrete type the
+/// hub was spawned with.
+pub trait ControlPlane: Any + Send {
     /// A cloneable read handle following every publication of this
     /// engine. Clone before moving the engine into a [`WriterHub`].
     fn reader(&self) -> Reader;
@@ -235,7 +239,8 @@ pub enum WriterError {
     /// [`EngineError::CheckpointFailed`] the batch *is* applied and
     /// durable — see [`Engine::apply`]).
     Engine(EngineError),
-    /// The writer thread has stopped; no writer holds the engine anymore.
+    /// The hub has stopped, or a writer panicked holding the funnel's
+    /// lock; no writer holds the engine anymore.
     Stopped,
 }
 
@@ -243,7 +248,7 @@ impl std::fmt::Display for WriterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WriterError::Engine(e) => write!(f, "{e}"),
-            WriterError::Stopped => write!(f, "the writer thread has stopped"),
+            WriterError::Stopped => write!(f, "the writer has stopped"),
         }
     }
 }
@@ -257,23 +262,13 @@ impl std::error::Error for WriterError {
     }
 }
 
-enum Msg {
-    // Apply-path messages carry their send stamp so the writer thread
-    // can account the channel wait as `Explain::queued` — the write-side
-    // sibling of the read plane's snapshot-grab delay.
-    Apply(Vec<Update>, Instant, SyncSender<Result<BatchAck, EngineError>>),
-    Replicate(Vec<Update>, u64, Instant, SyncSender<Result<BatchAck, EngineError>>),
-    Checkpoint(SyncSender<Result<CheckpointAck, EngineError>>),
-    Promote(SyncSender<Result<u64, EngineError>>),
-    Stop { final_checkpoint: bool },
-}
-
-/// A post-acknowledgement observer of every batch the writer publishes:
-/// called on the writer thread with the published epoch and the batch,
-/// *after* the batch is applied, WAL-logged and acknowledged. A
-/// replication primary installs one to feed its followers; the tap must
-/// never block (the [`tq_repl` hub]'s queues are bounded `try_send` for
-/// exactly that reason).
+/// A post-WAL observer of every batch the writer publishes: called
+/// under the funnel's lock, so in apply order, with the published epoch
+/// and the batch, *after* the batch is applied and WAL-logged and before
+/// its caller gets the ack. A replication primary installs one to feed
+/// its followers; the tap must never block, since every writer waits on
+/// it (the [`tq_repl` hub]'s queues are bounded `try_send` for exactly
+/// that reason).
 ///
 /// [`tq_repl` hub]: ../../tq_repl/index.html
 pub type BatchTap = Box<dyn Fn(u64, &[Update]) + Send>;
@@ -291,47 +286,53 @@ pub struct WriterOptions {
     /// [`EngineError::ReadOnly`] naming that address, while replicated
     /// applies (and [`WriterHandle::promote`]) still work.
     pub read_only: Option<String>,
-    /// Idle interval between [`ControlPlane::maintain`] calls when no
-    /// requests arrive. Defaults to 500 ms.
+    /// Interval between [`ControlPlane::maintain`] calls, made whether or
+    /// not requests arrive; each holds the funnel's lock while it runs.
+    /// Defaults to 500 ms.
     pub tick: Option<Duration>,
 }
 
-/// A cloneable, sendable handle that funnels requests to the writer
-/// thread. Each call blocks until the writer replies.
+/// What the funnel's one lock guards.
+struct Funnel {
+    /// `None` once [`WriterHub::stop`] has taken the engine back.
+    engine: Option<Box<dyn ControlPlane>>,
+    /// `Some(primary_addr)` while the hub is read-only.
+    read_only: Option<String>,
+    tap: Option<BatchTap>,
+}
+
+/// A cloneable, sendable handle into the funnel. Each call runs on the
+/// calling thread under the funnel's lock and blocks until it is done.
 #[derive(Clone)]
 pub struct WriterHandle {
-    tx: Sender<Msg>,
+    funnel: Arc<Mutex<Funnel>>,
 }
 
 impl WriterHandle {
-    fn roundtrip<T>(
-        &self,
-        make: impl FnOnce(SyncSender<Result<T, EngineError>>) -> Msg,
-    ) -> Result<T, WriterError> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.tx.send(make(reply_tx)).map_err(|_| WriterError::Stopped)?;
-        reply_rx
-            .recv()
-            .map_err(|_| WriterError::Stopped)?
-            .map_err(WriterError::Engine)
+    /// A writer that panicked holding the lock leaves the funnel
+    /// poisoned: every later request reads as [`WriterError::Stopped`].
+    fn lock(&self) -> Result<MutexGuard<'_, Funnel>, WriterError> {
+        self.funnel.lock().map_err(|_| WriterError::Stopped)
     }
 
     /// Applies one update batch through the single writer. All-or-nothing,
     /// exactly as [`Engine::apply`]: a rejected batch leaves the engine (and
     /// its WAL) untouched.
     pub fn apply(&self, batch: Vec<Update>) -> Result<BatchAck, WriterError> {
-        let depth = writer_metrics().queue_depth;
-        depth.inc();
-        let out = self.roundtrip(|reply| Msg::Apply(batch, Instant::now(), reply));
-        depth.dec();
-        out
+        self.write(&batch, None)
     }
 
     /// Takes an explicit checkpoint ([`Engine::checkpoint`]). Errors with
     /// [`EngineError::NotDurable`] through [`WriterError::Engine`] when the
     /// engine has no attached store.
     pub fn checkpoint(&self) -> Result<CheckpointAck, WriterError> {
-        self.roundtrip(Msg::Checkpoint)
+        let mut funnel = self.lock()?;
+        let engine = funnel.engine.as_deref_mut().ok_or(WriterError::Stopped)?;
+        let path = engine.write_checkpoint().map_err(WriterError::Engine)?;
+        Ok(CheckpointAck {
+            epoch: engine.current_epoch(),
+            path,
+        })
     }
 
     /// Applies a batch shipped from a replication primary at the
@@ -342,158 +343,152 @@ impl WriterHandle {
         batch: Vec<Update>,
         stamp: u64,
     ) -> Result<BatchAck, WriterError> {
-        let depth = writer_metrics().queue_depth;
-        depth.inc();
-        let out = self.roundtrip(|reply| Msg::Replicate(batch, stamp, Instant::now(), reply));
-        depth.dec();
-        out
+        self.write(&batch, Some(stamp))
     }
 
     /// Lifts a read-only hub into a writable one (follower promotion) and
     /// returns the epoch it promotes at. Idempotent; a no-op on a hub
     /// that is already writable.
     pub fn promote(&self) -> Result<u64, WriterError> {
-        self.roundtrip(Msg::Promote)
+        let mut funnel = self.lock()?;
+        let epoch = funnel.engine.as_deref().ok_or(WriterError::Stopped)?.current_epoch();
+        funnel.read_only = None;
+        Ok(epoch)
+    }
+
+    /// The write path of [`WriterHandle::apply`] (no `stamp`) and
+    /// [`WriterHandle::apply_replicated`]. The wait for the lock is the
+    /// batch's [`Explain::queued`].
+    fn write(&self, batch: &[Update], stamp: Option<u64>) -> Result<BatchAck, WriterError> {
+        let depth = writer_metrics().queue_depth;
+        depth.inc();
+        let waiting = Instant::now();
+        let out = self.lock().and_then(|mut funnel| {
+            let queued = waiting.elapsed();
+            let Funnel {
+                engine,
+                read_only,
+                tap,
+            } = &mut *funnel;
+            let engine = engine.as_deref_mut().ok_or(WriterError::Stopped)?;
+            if let (Some(primary), None) = (read_only.as_ref(), stamp) {
+                return Err(WriterError::Engine(EngineError::ReadOnly {
+                    primary: primary.clone(),
+                }));
+            }
+            let before = engine.current_epoch();
+            let applying = Instant::now();
+            let applied = match stamp {
+                None => engine.apply_batch(batch),
+                Some(stamp) => engine.apply_replicated(batch, stamp),
+            };
+            let ack = applied.map(|outcome| BatchAck {
+                epoch: engine.current_epoch(),
+                outcome,
+                wal_batches: engine
+                    .persist_status()
+                    .map_or(0, |s| s.wal_batches as u64),
+            });
+            // A stamp-skipped (already-reflected) replicated batch leaves
+            // the epoch in place and must not re-ship.
+            let ship = ack.as_ref().map(|a| a.epoch).ok().filter(|&e| e > before);
+            note_apply(batch.len(), queued, applying.elapsed(), ship);
+            // Still under the lock, so the feed sees batches in apply
+            // order, each after its WAL append. Replicated applies feed
+            // the tap too, so a chained or later-promoted follower can
+            // serve followers of its own.
+            if let (Some(tap), Some(epoch)) = (tap.as_ref(), ship) {
+                tap(epoch, batch);
+            }
+            ack.map_err(WriterError::Engine)
+        });
+        depth.dec();
+        out
     }
 }
 
-/// Owns the writer thread. Keep the hub where the engine's lifecycle is
-/// managed; pass [`WriterHandle`] clones to everything else.
+/// Owns the funnel's lifecycle and its housekeeping ticker. Keep the hub
+/// where the engine's lifecycle is managed; pass [`WriterHandle`] clones
+/// to everything else.
 ///
 /// Generic over the [`ControlPlane`] it owns — a plain [`Engine`] (the
 /// default) or a [`ShardedEngine`] front end; the handles are identical
 /// either way.
 pub struct WriterHub<C: ControlPlane = Engine> {
-    tx: Sender<Msg>,
-    thread: JoinHandle<Result<C, EngineError>>,
+    funnel: Arc<Mutex<Funnel>>,
+    ticker: JoinHandle<()>,
+    /// Dropped by [`WriterHub::stop`] (or with the hub) to end the ticker.
+    stop_ticker: Sender<()>,
+    plane: PhantomData<fn() -> C>,
 }
 
 impl<C: ControlPlane> WriterHub<C> {
-    /// Moves the control plane to a dedicated writer thread and starts
-    /// serving requests. Clone a [`Reader`] (and
-    /// warm, if wanted) *before* spawning — the hub gives the engine back
-    /// only on [`WriterHub::stop`].
+    /// Moves the control plane behind the funnel's lock and starts its
+    /// housekeeping ticker. Clone a [`Reader`] (and warm, if wanted)
+    /// *before* spawning — the hub gives the engine back only on
+    /// [`WriterHub::stop`].
     pub fn spawn(engine: C) -> WriterHub<C> {
         WriterHub::spawn_with(engine, WriterOptions::default())
     }
 
-    /// [`WriterHub::spawn`] with explicit [`WriterOptions`]: a post-ack
+    /// [`WriterHub::spawn`] with explicit [`WriterOptions`]: a post-WAL
     /// batch tap (the replication feed point), an initial read-only state
-    /// (a follower hub), and the idle [`ControlPlane::maintain`] tick.
+    /// (a follower hub), and the [`ControlPlane::maintain`] tick.
     pub fn spawn_with(engine: C, options: WriterOptions) -> WriterHub<C> {
-        let (tx, rx) = channel::<Msg>();
+        let funnel = Arc::new(Mutex::new(Funnel {
+            engine: Some(Box::new(engine)),
+            read_only: options.read_only,
+            tap: options.tap,
+        }));
         let tick = options.tick.unwrap_or(Duration::from_millis(500));
-        let tap = options.tap;
-        let mut read_only = options.read_only;
-        let thread = std::thread::spawn(move || {
-            let mut engine = engine;
-            loop {
-                let msg = match rx.recv_timeout(tick) {
-                    Ok(msg) => msg,
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Idle housekeeping. An error here (a failed
-                        // age-based checkpoint) has no requester to carry
-                        // it; the WAL still holds every acked batch, and
-                        // the verdict resurfaces on the next apply's
-                        // harvest.
+        let (stop_ticker, stopped) = channel::<()>();
+        let ticker = {
+            let funnel = Arc::clone(&funnel);
+            std::thread::spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(tick) {
+                    let Ok(mut funnel) = funnel.lock() else { break };
+                    if let Some(engine) = funnel.engine.as_deref_mut() {
+                        // Housekeeping. An error here (a failed age-based
+                        // checkpoint) has no requester to carry it; the
+                        // WAL still holds every acked batch, and the
+                        // verdict resurfaces on the next apply's harvest.
                         let _ = engine.maintain();
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                };
-                match msg {
-                    Msg::Apply(batch, sent, reply) => {
-                        if let Some(primary) = &read_only {
-                            let _ = reply.send(Err(EngineError::ReadOnly {
-                                primary: primary.clone(),
-                            }));
-                            continue;
-                        }
-                        let queued = sent.elapsed();
-                        let applying = Instant::now();
-                        let ack = engine.apply_batch(&batch).map(|outcome| BatchAck {
-                            epoch: engine.current_epoch(),
-                            outcome,
-                            wal_batches: engine
-                                .persist_status()
-                                .map_or(0, |s| s.wal_batches as u64),
-                        });
-                        let ship = ack.as_ref().map(|a| a.epoch).ok();
-                        note_apply(batch.len(), queued, applying.elapsed(), ship);
-                        // A dropped requester is not a writer problem.
-                        let _ = reply.send(ack);
-                        // Ship-after-ack: the batch is applied, WAL-logged
-                        // and acknowledged before any follower sees it.
-                        if let (Some(tap), Some(epoch)) = (&tap, ship) {
-                            tap(epoch, &batch);
-                        }
-                    }
-                    Msg::Replicate(batch, stamp, sent, reply) => {
-                        let before = engine.current_epoch();
-                        let queued = sent.elapsed();
-                        let applying = Instant::now();
-                        let ack =
-                            engine.apply_replicated(&batch, stamp).map(|outcome| BatchAck {
-                                epoch: engine.current_epoch(),
-                                outcome,
-                                wal_batches: engine
-                                    .persist_status()
-                                    .map_or(0, |s| s.wal_batches as u64),
-                            });
-                        // A stamp-skipped (already-reflected) batch leaves
-                        // the epoch in place and must not re-ship.
-                        let ship = ack.as_ref().map(|a| a.epoch).ok().filter(|&e| e > before);
-                        note_apply(batch.len(), queued, applying.elapsed(), ship);
-                        let _ = reply.send(ack);
-                        // Replicated applies feed the tap too, so a chained
-                        // or later-promoted follower can serve followers of
-                        // its own.
-                        if let (Some(tap), Some(epoch)) = (&tap, ship) {
-                            tap(epoch, &batch);
-                        }
-                    }
-                    Msg::Checkpoint(reply) => {
-                        let ack = engine.write_checkpoint().map(|path| CheckpointAck {
-                            epoch: engine.current_epoch(),
-                            path,
-                        });
-                        let _ = reply.send(ack);
-                    }
-                    Msg::Promote(reply) => {
-                        read_only = None;
-                        let _ = reply.send(Ok(engine.current_epoch()));
-                    }
-                    Msg::Stop { final_checkpoint } => {
-                        if final_checkpoint && engine.persist_status().is_some() {
-                            engine.write_checkpoint()?;
-                        }
-                        break;
                     }
                 }
-            }
-            // All senders gone without a Stop counts as an abort: no final
-            // checkpoint, the WAL already holds every acknowledged batch.
-            Ok(engine)
-        });
-        WriterHub { tx, thread }
+            })
+        };
+        WriterHub {
+            funnel,
+            ticker,
+            stop_ticker,
+            plane: PhantomData,
+        }
     }
 
     /// A new funnel handle for another thread.
     pub fn handle(&self) -> WriterHandle {
-        WriterHandle { tx: self.tx.clone() }
+        WriterHandle {
+            funnel: Arc::clone(&self.funnel),
+        }
     }
 
     /// Stops the writer and returns the engine. With `final_checkpoint`
     /// set, a durable engine writes one last snapshot first (a checkpoint
     /// failure surfaces here — the WAL still holds every acknowledged
-    /// batch, so nothing is lost). Requests already queued ahead of the
-    /// stop are served first; handles that outlive the hub get
-    /// [`WriterError::Stopped`].
+    /// batch, so nothing is lost). Calls already holding the lock finish
+    /// first; calls that take it afterwards, from handles that outlive
+    /// the hub, get [`WriterError::Stopped`].
     pub fn stop(self, final_checkpoint: bool) -> Result<C, EngineError> {
-        let _ = self.tx.send(Msg::Stop { final_checkpoint });
-        self.thread
-            .join()
-            .map_err(|_| EngineError::Persist("the writer thread panicked".into()))?
+        let panicked = || EngineError::Persist("the writer panicked".into());
+        drop(self.stop_ticker);
+        self.ticker.join().map_err(|_| panicked())?;
+        let engine = self.funnel.lock().map_err(|_| panicked())?.engine.take();
+        let engine: Box<dyn Any> = engine.expect("only `stop` takes the engine");
+        let mut engine = *engine.downcast::<C>().expect("the hub was spawned with a `C`");
+        if final_checkpoint && engine.persist_status().is_some() {
+            engine.write_checkpoint()?;
+        }
+        Ok(engine)
     }
 }
 
@@ -553,6 +548,103 @@ mod tests {
 
         let engine = hub.stop(false).unwrap();
         assert_eq!(engine.live_users(), 6);
+    }
+
+    /// One insert per batch, told apart by its `y`.
+    fn insert_at(y: f64) -> Vec<Update> {
+        let p = |x: f64, y: f64| Point::new(x, y);
+        vec![Update::Insert(Trajectory::two_point(p(0.0, y), p(10.0, y)))]
+    }
+
+    /// What a recording tap was fed, as `(epoch, batch)`; `Update` has no
+    /// `PartialEq`, so a batch is held as its `Debug` text.
+    type Fed = Arc<Mutex<Vec<(u64, String)>>>;
+
+    fn recording_tap() -> (BatchTap, Fed) {
+        let fed: Fed = Arc::default();
+        let sink = Arc::clone(&fed);
+        let tap: BatchTap = Box::new(move |epoch, batch| {
+            sink.lock().unwrap().push((epoch, format!("{batch:?}")));
+        });
+        (tap, fed)
+    }
+
+    #[test]
+    fn the_feed_sees_racing_batches_in_apply_order() {
+        let engine = small_engine();
+        let e0 = engine.epoch();
+        let (tap, fed) = recording_tap();
+        let hub = WriterHub::spawn_with(
+            engine,
+            WriterOptions {
+                tap: Some(tap),
+                ..WriterOptions::default()
+            },
+        );
+        let racers: Vec<_> = (0..4)
+            .map(|i| {
+                let handle = hub.handle();
+                std::thread::spawn(move || {
+                    (0..25)
+                        .map(|j| {
+                            let batch = insert_at(10.0 + 0.5 * f64::from(i * 25 + j));
+                            let ack = handle.apply(batch.clone()).unwrap();
+                            (ack.epoch, format!("{batch:?}"))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut acked: Vec<(u64, String)> =
+            racers.into_iter().flat_map(|r| r.join().unwrap()).collect();
+        acked.sort();
+        let fed = std::mem::take(&mut *fed.lock().unwrap());
+        // Fed in apply order: strictly increasing and dense epochs...
+        let epochs: Vec<u64> = fed.iter().map(|&(e, _)| e).collect();
+        assert_eq!(epochs, (e0 + 1..=e0 + 100).collect::<Vec<_>>());
+        // ...each carrying exactly the batch acked at that epoch.
+        assert_eq!(fed, acked);
+        let engine = hub.stop(false).unwrap();
+        assert_eq!(engine.epoch(), e0 + 100);
+    }
+
+    #[test]
+    fn a_read_only_hub_refuses_direct_writes_and_never_reships_a_stamp() {
+        let engine = small_engine();
+        let e0 = engine.epoch();
+        let (tap, fed) = recording_tap();
+        let hub = WriterHub::spawn_with(
+            engine,
+            WriterOptions {
+                tap: Some(tap),
+                read_only: Some("primary:7000".into()),
+                tick: None,
+            },
+        );
+        let handle = hub.handle();
+        match handle.apply(insert_at(20.0)).unwrap_err() {
+            WriterError::Engine(EngineError::ReadOnly { primary }) => {
+                assert_eq!(primary, "primary:7000");
+            }
+            other => panic!("expected a read-only refusal, got {other:?}"),
+        }
+        // The follower's write path publishes at the primary's stamp and
+        // feeds the tap.
+        let ack = handle.apply_replicated(insert_at(21.0), e0 + 3).unwrap();
+        assert_eq!(ack.epoch, e0 + 3);
+        // A stamp already reflected is acked, leaves the epoch where it
+        // was, and is not fed again.
+        let skipped = handle.apply_replicated(insert_at(22.0), e0 + 2).unwrap();
+        assert_eq!(skipped.epoch, e0 + 3);
+        assert!(skipped.outcome.inserted.is_empty());
+        assert_eq!(*fed.lock().unwrap(), vec![(e0 + 3, format!("{:?}", insert_at(21.0)))]);
+        // Promotion lifts the refusal.
+        assert_eq!(handle.promote().unwrap(), e0 + 3);
+        assert_eq!(handle.apply(insert_at(23.0)).unwrap().epoch, e0 + 4);
+        assert_eq!(fed.lock().unwrap().len(), 2);
+        let engine = hub.stop(false).unwrap();
+        assert_eq!(engine.epoch(), e0 + 4);
+        assert_eq!(engine.live_users(), 4);
     }
 
     #[test]

@@ -4,26 +4,23 @@
 //!
 //! ```text
 //!             ┌────────────┐   TcpStream per conn   ┌──────────────┐
-//!  clients ──▶│ accept loop│──────spawn────────────▶│ conn thread  │──┐
-//!             └────────────┘                        │ (Reader:     │  │ apply /
-//!                   │ polls stop flag               │  lock-free   │  │ checkpoint
-//!                   ▼                               │  queries)    │  ▼
-//!             joins conn threads                    └──────────────┘ WriterHandle
-//!                                                        × N            │ mpsc
-//!                                                                       ▼
-//!                                                               ┌──────────────┐
-//!                                                               │ writer thread│
-//!                                                               │ (the Engine, │
-//!                                                               │  WAL + pub)  │
-//!                                                               └──────────────┘
+//!  clients ──▶│ accept loop│──────spawn────────────▶│ conn thread  │ × N
+//!             └────────────┘                        │ queries: the │
+//!                   │ polls stop flag               │  lock-free   │
+//!                   ▼                               │  Reader      │
+//!             joins conn threads                    │ apply/ckpt:  │
+//!                                                   │  WriterHandle│
+//!                                                   │  (one lock)  │
+//!                                                   └──────────────┘
 //! ```
 //!
 //! Every connection thread holds its own [`Reader`]
 //! and answers queries from the latest published snapshot with zero
 //! locks and zero engine mutation. Update batches — from any connection
-//! — funnel through one [`WriterHub`] channel to the thread that owns
-//! the control plane, preserving the single-writer invariant end to
-//! end: the network layer adds fan-in, never a second writer. The
+//! — run on their connection's own thread under the one lock of the
+//! [`WriterHub`] that owns the control plane, preserving the
+//! single-writer invariant end to end: the network layer adds fan-in,
+//! never a second writer. The
 //! server is generic over [`ControlPlane`], so a plain
 //! [`Engine`] and a sharded
 //! [`ShardedEngine`](tq_core::sharding::ShardedEngine) serve the
@@ -148,8 +145,8 @@ pub struct Server;
 
 impl Server {
     /// Binds `addr` (use port `0` for an ephemeral port — read the real
-    /// one back from [`ServerHandle::addr`]), moves `engine` to its
-    /// writer thread, and starts accepting connections.
+    /// one back from [`ServerHandle::addr`]), moves `engine` into its
+    /// writer funnel, and starts accepting connections.
     ///
     /// Generic over the [`ControlPlane`]: a plain [`Engine`] or a
     /// [`ShardedEngine`](tq_core::sharding::ShardedEngine) front end —

@@ -1,16 +1,16 @@
 //! The primary-side replication hub: fan-out from the single-writer
-//! funnel's post-acknowledgement tap to per-follower feed queues.
+//! funnel's post-WAL batch tap to per-follower feed queues.
 //!
 //! One [`ReplicationHub`] lives next to the primary's `WriterHub`. The
-//! writer thread calls [`ReplicationHub::publish`] (through the
-//! [`BatchTap`] from [`ReplicationHub::tap`]) after every acknowledged
-//! batch; each feed connection registers a bounded queue, drains it to
-//! its follower, and reports acknowledgements back. Everything the
-//! write path touches is `try_send` on a bounded channel — **the tap
-//! never blocks**: a follower whose queue fills (or whose feed thread
-//! died) is marked overflowed, its feed drops the connection, and the
-//! follower reconnects and re-catches-up from disk, where every record
-//! it missed still is.
+//! writer calls [`ReplicationHub::publish`] (through the [`BatchTap`]
+//! from [`ReplicationHub::tap`]) under the funnel's lock after every
+//! applied, WAL-logged batch; each feed connection registers a bounded
+//! queue, drains it to its follower, and reports acknowledgements back.
+//! Everything the write path touches is `try_send` on a bounded channel
+//! — **the tap never blocks**: a follower whose queue fills (or whose
+//! feed thread died) is marked overflowed, its feed drops the
+//! connection, and the follower reconnects and re-catches-up from disk,
+//! where every record it missed still is.
 
 use crate::proto::ReplRecord;
 use std::collections::HashMap;
@@ -159,15 +159,15 @@ impl ReplicationHub {
 
     /// The [`BatchTap`] to install into the writer funnel
     /// ([`tq_core::writer::WriterOptions::tap`]); it forwards every
-    /// acknowledged batch to [`ReplicationHub::publish`].
+    /// applied batch to [`ReplicationHub::publish`].
     pub fn tap(self: &Arc<Self>) -> BatchTap {
         let hub = Arc::clone(self);
         Box::new(move |epoch, updates| hub.publish(epoch, updates))
     }
 
-    /// Fans one acknowledged batch out to every follower feed. Called on
-    /// the writer thread — O(1) channel pushes, one batch encoding, no
-    /// blocking, nothing at all when no follower is connected.
+    /// Fans one applied batch out to every follower feed. Called under
+    /// the writer funnel's lock — O(1) channel pushes, one batch encoding,
+    /// no blocking, nothing at all when no follower is connected.
     pub fn publish(&self, epoch: u64, updates: &[Update]) {
         let mut inner = self.lock();
         if inner.followers.is_empty() {

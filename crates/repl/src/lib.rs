@@ -18,7 +18,7 @@
 //!   [`SnapshotChunk`] (bootstrap transfer), [`ReplAck`] (lockstep
 //!   acknowledgement).
 //! * [`hub`] — the primary-side [`ReplicationHub`]: tapped into the
-//!   writer funnel *after* each batch acknowledges, it fans records out
+//!   writer funnel *after* each batch's WAL append, it fans records out
 //!   to per-follower bounded queues. The tap never blocks the write
 //!   path — a follower that falls behind its queue bound is dropped and
 //!   re-catches-up from disk.

@@ -107,8 +107,8 @@ pub struct StoreConfig {
     /// though [`StoreConfig::checkpoint_every`] hasn't tripped — so a
     /// long-idle primary still compacts its log instead of carrying a
     /// short WAL tail forever. The timer is *polled*, not threaded: the
-    /// single-writer funnel's idle tick asks on the write thread and
-    /// routes a due checkpoint through the same (background, when
+    /// single-writer funnel's housekeeping tick asks under the writer's
+    /// lock and routes a due checkpoint through the same (background, when
     /// configured) path as the batch-count threshold. `None` (the
     /// default) disables it.
     pub checkpoint_max_age: Option<Duration>,

@@ -19,7 +19,8 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use tq::core::tqtree::TqTreeConfig;
 use tq::prelude::*;
@@ -323,4 +324,78 @@ fn snapshots_outlive_the_engine_and_later_epochs() {
     drop(engine); // the writer is gone; the epoch the reader holds survives
 
     assert_eq!(fingerprint(&old), before, "old epoch changed after drop");
+}
+
+/// Stopping the hub while four threads keep applying through it: every
+/// applier ends on [`WriterError::Stopped`] within a deadline, the acked
+/// epochs are exactly the ones the returned engine published, and the
+/// store reopens on that epoch with the same answer bits (acked ⇒
+/// durable).
+#[test]
+fn stop_racing_appliers_keeps_every_ack_durable() {
+    let dir = std::env::temp_dir().join(format!("tq-stop-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let city = CityModel::synthetic(8, 6, 1_000.0);
+    let engine = Engine::builder(ServiceModel::new(Scenario::Transit, 40.0))
+        .users(users(200, 8))
+        .facilities(routes(12, 8))
+        .tree_config(TqTreeConfig::default().with_beta(8))
+        .bounds(city.bounds)
+        .persist_to(&dir)
+        .build()
+        .unwrap();
+    let e0 = engine.epoch();
+    let hub = WriterHub::spawn(engine);
+
+    let acks = Arc::new(AtomicUsize::new(0));
+    let appliers: Vec<_> = (0..4u64)
+        .map(|i| {
+            let handle = hub.handle();
+            let acks = Arc::clone(&acks);
+            let newcomers: Vec<Trajectory> = taxi_trips(&city, 50, 80 + i)
+                .iter()
+                .map(|(_, t)| t.clone())
+                .collect();
+            std::thread::spawn(move || {
+                let mut epochs = Vec::new();
+                for t in newcomers.iter().cycle() {
+                    match handle.apply(vec![Update::Insert(t.clone())]) {
+                        Ok(ack) => {
+                            epochs.push(ack.epoch);
+                            acks.fetch_add(1, Ordering::SeqCst);
+                        }
+                        Err(WriterError::Stopped) => return epochs,
+                        Err(e) => panic!("apply failed: {e}"),
+                    }
+                }
+                unreachable!("the supply cycles forever")
+            })
+        })
+        .collect();
+    while acks.load(Ordering::SeqCst) < 20 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let engine = hub.stop(true).unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !appliers.iter().all(|a| a.is_finished()) {
+        assert!(Instant::now() < deadline, "an applier hung past stop");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut acked: Vec<u64> = appliers
+        .into_iter()
+        .flat_map(|a| a.join().unwrap())
+        .collect();
+    acked.sort_unstable();
+    // Every apply that published was acked to its caller, and nothing
+    // applied after the engine was taken back.
+    assert!(acked.len() >= 20);
+    assert_eq!(acked, (e0 + 1..=engine.epoch()).collect::<Vec<_>>());
+
+    let reopened = Engine::open(&dir).unwrap();
+    assert_eq!(reopened.epoch(), engine.epoch());
+    assert_eq!(reopened.live_users(), engine.live_users());
+    assert_eq!(fingerprint(&reopened.snapshot()), fingerprint(&engine.snapshot()));
+    drop((engine, reopened));
+    let _ = std::fs::remove_dir_all(&dir);
 }
